@@ -21,8 +21,8 @@ from . import selftest as selftest_mod
 from .classical import (E_s_valuation, classical_truth,
                         generalized_classical_valuation)
 from .context import (RaySet, StringUniverse, closure_rays, context_truth_equal,
-                      context_valuation, is_full, polar_of_rays, polar_of_strings,
-                      sieve_truth_equal, sieve_valuation)
+                      is_full, polar_of_rays, polar_of_strings, sieve_truth_equal,
+                      sieve_valuation)
 from .dsl import ParseResult, SystemSpec, _lex, _Parser, parse_spec, pretty_print
 from .errors import MonoidToposError
 from .linalg import TolerancePolicy
@@ -213,6 +213,7 @@ def _letters_or_default(spec: SystemSpec, args) -> tuple[str, ...]:
 def cmd_valuate(spec: SystemSpec, args) -> tuple[dict, dict]:
     rq = _quantum(spec, args.system)
     delta = _parse_value_set(args.range)
+    rq.system.range_indices(delta)
     letters = _letters_or_default(spec, args)
     alphabet = _alphabet_from(spec, args.system, letters)
     op = rq.system.operator(args.op)
@@ -295,6 +296,7 @@ def cmd_sieve(spec: SystemSpec, args) -> tuple[dict, None]:
     else:
         op = rq.system.operator(args.op)
         delta = _parse_value_set(args.range)
+        rq.system.range_indices(delta)
         sieve = sieve_valuation(alphabet, psi, op, delta, context)
     return {"sieve": sieve.to_payload()}, None
 

@@ -72,7 +72,7 @@ def in_sp0(alphabet: ProjectorAlphabet, letters: Sequence[str]) -> bool:
     """True iff the string's reduction is non-null (largest singular value
     above the null threshold)."""
     q = alphabet.monoid.check_string(letters)
-    return operator_norm(alphabet.reduce(q), alphabet.tol) > alphabet.tol.null_threshold
+    return operator_norm(alphabet.reduce(q)) > alphabet.tol.null_threshold
 
 
 class StringUniverse:
@@ -237,6 +237,9 @@ def presheaf_restrict(alphabet: ProjectorAlphabet, arrow: Arrow, psi) -> np.ndar
 
 # ---------------------------------------------------------------------------
 # Sieves on string contexts
+#
+# Upward closure is a theorem for the predicates used below; Sieve surfaces
+# any numeric violation instead of silently repairing it.
 
 
 @dataclass(frozen=True)
@@ -280,14 +283,6 @@ class Sieve:
         }
 
 
-def _sieve_from_flags(context: Letters, flags: Sequence[bool]) -> Sieve:
-    included = {k for k, ok in enumerate(flags) if ok}
-    # Upward closure is a theorem for the predicates used here; surface any
-    # numeric violation instead of silently repairing it.
-    sieve = Sieve(context, frozenset(included))
-    return sieve
-
-
 def sieve_truth_equal(alphabet: ProjectorAlphabet, psi, phi,
                       context: Sequence[str]) -> Sieve:
     """The sieve of tails of the context after which the two rays agree;
@@ -302,7 +297,7 @@ def sieve_truth_equal(alphabet: ProjectorAlphabet, psi, phi,
     for k in range(p + 1):
         mat = alphabet.reduce(q[p - k:])
         flags.append(ray_equal(mat @ v, mat @ w, alphabet.tol))
-    return _sieve_from_flags(q, flags)
+    return Sieve(q, frozenset(k for k, ok in enumerate(flags) if ok))
 
 
 def sieve_valuation(alphabet: ProjectorAlphabet, psi, op: HermitianOperator,
@@ -320,4 +315,4 @@ def sieve_valuation(alphabet: ProjectorAlphabet, psi, op: HermitianOperator,
         mat = alphabet.reduce(q[p - k:])
         flags.append(in_subspace(mat @ v, image_subspace(mat, target, alphabet.tol),
                                  alphabet.tol))
-    return _sieve_from_flags(q, flags)
+    return Sieve(q, frozenset(k for k, ok in enumerate(flags) if ok))

@@ -27,7 +27,6 @@ def all_monoids_upto_iso(size: int) -> list[FiniteMonoid]:
     if size == 1:
         return [FiniteMonoid([[0]])]
     rest = range(1, size)
-    perms = [dict(zip(rest, p)) for p in itertools.permutations(rest)]
     seen = set()
     out = []
     cells = [(i, j) for i in rest for j in rest]
@@ -41,19 +40,12 @@ def all_monoids_upto_iso(size: int) -> list[FiniteMonoid]:
         m = FiniteMonoid(table)
         if not verify_associativity(m):
             continue
-        canon = min(_relabelled(table, perm) for perm in perms)
-        if canon in seen:
+        key = _canonical_key(m)
+        if key in seen:
             continue
-        seen.add(canon)
-        out.append(FiniteMonoid([list(row) for row in canon]))
+        seen.add(key)
+        out.append(FiniteMonoid(key[1]))
     return out
-
-
-def _relabelled(table: Sequence[Sequence[int]], perm: dict[int, int]) -> tuple:
-    full = {0: 0, **perm}
-    inv = {v: k for k, v in full.items()}
-    n = len(table)
-    return tuple(tuple(full[table[inv[i]][inv[j]]] for j in range(n)) for i in range(n))
 
 
 def small_monoids(max_size: int = 3) -> list[FiniteMonoid]:
@@ -95,7 +87,7 @@ def random_monoids(seed: int, count: int, sizes: Iterable[int] = (4, 5),
         gens = [tuple(int(x) for x in rng.integers(0, k, size=k))
                 for _ in range(n_gens)]
         try:
-            m = submonoid_closure(gens, k, max_size=64)
+            m = submonoid_closure(gens, k, max_size=max(wanted, default=0))
         except CapacityError:
             continue
         if m.size not in wanted:

@@ -1,7 +1,7 @@
 """Small dense complex linear algebra for the valuation modules.
 
-Eigendecomposition of Hermitian matrices uses a cyclic Jacobi iteration
-with complex rotations; dimensions are capped at MAX_DIM.  A single
+Eigendecomposition of Hermitian matrices uses numpy.linalg.eigh and is
+checked by reconstruction; dimensions are capped at MAX_DIM.  A single
 TolerancePolicy (comparison eps, null threshold) governs every numeric
 decision downstream — projector strings are contraction products, so a
 fixed null threshold is safe at any string length.
@@ -9,7 +9,6 @@ fixed null threshold is safe at any string length.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
@@ -19,7 +18,6 @@ from .errors import (DomainError, NumericError, PreconditionError,
                      StructureError, ValidationError)
 
 MAX_DIM = 16
-_JACOBI_MAX_SWEEPS = 60
 
 
 @dataclass(frozen=True)
@@ -62,56 +60,6 @@ def as_vector(entries, dim: Optional[int] = None) -> np.ndarray:
 
 def is_hermitian(a: np.ndarray, eps: float) -> bool:
     return bool(np.max(np.abs(a - a.conj().T)) <= eps * max(1.0, float(np.max(np.abs(a)))))
-
-
-def _jacobi_hermitian(a: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
-    """Cyclic Jacobi for a Hermitian matrix: eigenvalues and a unitary of
-    eigenvectors (columns).  Off-diagonal mass is annihilated pairwise with
-    phase-adjusted plane rotations."""
-    n = a.shape[0]
-    w = a.astype(complex).copy()
-    v = np.eye(n, dtype=complex)
-    scale = max(1.0, float(np.linalg.norm(a)))
-    target = 1e-14 * scale * n
-    for _ in range(_JACOBI_MAX_SWEEPS):
-        off = math.sqrt(float(np.sum(np.abs(np.triu(w, 1)) ** 2)))
-        if off <= target:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = w[p, q]
-                r = abs(apq)
-                if r <= 1e-18 * scale:
-                    continue
-                phase = apq / r
-                diff = (w[q, q] - w[p, p]).real
-                if abs(r) < abs(diff) * 1e-36:
-                    t = r / diff
-                else:
-                    theta = diff / (2.0 * r)
-                    t = 1.0 / (abs(theta) + math.sqrt(theta * theta + 1.0))
-                    if theta < 0.0:
-                        t = -t
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                # Unitary rotation touching rows/columns p and q only:
-                # column p <- c*col_p - s*conj(phase)*col_q
-                # column q <- s*phase*col_p + c*col_q
-                colp = w[:, p].copy()
-                colq = w[:, q].copy()
-                w[:, p] = c * colp - s * np.conj(phase) * colq
-                w[:, q] = s * phase * colp + c * colq
-                rowp = w[p, :].copy()
-                rowq = w[q, :].copy()
-                w[p, :] = c * rowp - s * phase * rowq
-                w[q, :] = s * np.conj(phase) * rowp + c * rowq
-                vcolp = v[:, p].copy()
-                vcolq = v[:, q].copy()
-                v[:, p] = c * vcolp - s * np.conj(phase) * vcolq
-                v[:, q] = s * phase * vcolp + c * vcolq
-    else:
-        raise NumericError("Jacobi iteration did not converge")
-    return np.real(np.diag(w)), v
 
 
 class Subspace:
@@ -277,7 +225,10 @@ def hermitian_eig(matrix, tol: TolerancePolicy = DEFAULT_TOL,
     if not is_hermitian(a, tol.eps):
         raise ValidationError("matrix is not Hermitian within tolerance")
     a = (a + a.conj().T) / 2.0
-    vals, vecs = _jacobi_hermitian(a, tol.eps)
+    try:
+        vals, vecs = np.linalg.eigh(a)
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"eigendecomposition failed: {exc}") from exc
 
     if snap_to is not None:
         targets = sorted(set(float(x) for x in snap_to))
@@ -358,14 +309,12 @@ def apply_function(op: HermitianOperator, f: Union[Callable[[float], float], Map
     return HermitianOperator(np.asarray(matrix), eigenvalues, bases)
 
 
-def operator_norm(a: np.ndarray, tol: TolerancePolicy = DEFAULT_TOL) -> float:
-    """Largest singular value (via the Hermitian square)."""
-    a = np.asarray(a, dtype=complex)
-    gram = a.conj().T @ a
-    gram = (gram + gram.conj().T) / 2.0
-    vals, _ = _jacobi_hermitian(gram, tol.eps)
-    top = float(np.max(vals))
-    return math.sqrt(max(top, 0.0))
+def operator_norm(a: np.ndarray) -> float:
+    """Largest singular value."""
+    try:
+        return float(np.linalg.norm(np.asarray(a, dtype=complex), 2))
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"operator norm failed: {exc}") from exc
 
 
 class Ray:

@@ -16,9 +16,6 @@ import numpy as np
 
 from .errors import CapacityError, StructureError, UsageError
 
-# Beyond this size, enumerate_left_ideals switches from subset filtering
-# to closure generation from principal ideals.
-SUBSET_ENUM_LIMIT = 12
 IDEAL_COUNT_CAP = 1 << 16
 MONOID_SIZE_CAP = 4096
 
@@ -79,13 +76,6 @@ class FiniteMonoid:
         if not 0 <= a < self.size:
             raise UsageError(f"element index {a} out of range")
         return a
-
-    def table_key(self) -> tuple:
-        """Structural key (identity normalised to index 0); used for dedup."""
-        perm = [self.identity] + [a for a in range(self.size) if a != self.identity]
-        inv = {p: i for i, p in enumerate(perm)}
-        return tuple(tuple(inv[self.table[perm[i]][perm[j]]] for j in range(self.size))
-                     for i in range(self.size))
 
     def reach_masks(self) -> tuple[int, ...]:
         """For each element x, the bitmask of {m*x | m in M} (its principal left ideal)."""
@@ -213,21 +203,15 @@ def ideal_action(m: int, ideal: LeftIdeal) -> LeftIdeal:
 
 
 def heyting_implies(lhs: LeftIdeal, rhs: LeftIdeal) -> LeftIdeal:
-    """Relative pseudo-complement: the m with action(m, lhs) <= action(m, rhs)."""
+    """Relative pseudo-complement: the m with action(m, lhs) <= action(m, rhs),
+    i.e. whose principal ideal Mm meets lhs only inside rhs."""
     lhs._check_same(rhs)
-    mon = lhs.monoid
+    outside = lhs.mask & ~rhs.mask
     mask = 0
-    for m in range(mon.size):
-        amask = bmask = 0
-        for mp in range(mon.size):
-            prod = mon.table[mp][m]
-            if lhs.mask >> prod & 1:
-                amask |= 1 << mp
-            if rhs.mask >> prod & 1:
-                bmask |= 1 << mp
-        if amask & ~bmask == 0:
+    for m, reach in enumerate(lhs.monoid.reach_masks()):
+        if reach & outside == 0:
             mask |= 1 << m
-    return LeftIdeal(mon, mask)
+    return LeftIdeal(lhs.monoid, mask)
 
 
 def heyting_not(ideal: LeftIdeal) -> LeftIdeal:
@@ -237,10 +221,7 @@ def heyting_not(ideal: LeftIdeal) -> LeftIdeal:
 def enumerate_left_ideals(m: FiniteMonoid) -> list[LeftIdeal]:
     """All left ideals, sorted by (size, mask); always contains 0 and M."""
     if m._ideals is None:
-        if m.size <= SUBSET_ENUM_LIMIT:
-            masks = [mask for mask in range(1 << m.size) if _is_ideal_mask(m, mask)]
-        else:
-            masks = _ideals_by_closure(m)
+        masks = _ideals_by_closure(m)
         masks.sort(key=lambda k: (k.bit_count(), k))
         m._ideals = tuple(LeftIdeal(m, mask) for mask in masks)
     return list(m._ideals)
@@ -295,24 +276,26 @@ def submonoid_closure(generator_maps: Iterable[tuple[int, ...]], k: int,
     """Smallest composition-closed monoid of self-maps of {0..k-1}
     containing the generators (the identity is always adjoined)."""
     ident = tuple(range(k))
-    elems = {ident}
-    frontier = [tuple(g) for g in generator_maps]
-    for g in frontier:
+    gens = [tuple(g) for g in generator_maps]
+    for g in gens:
         if len(g) != k or any(not 0 <= v < k for v in g):
             raise StructureError("generator is not a self-map of the point set")
-        elems.add(g)
-    changed = True
-    while changed:
-        changed = False
-        current = sorted(elems)
-        for f in current:
-            for g in current:
+    # Every element is a product of generators, so a breadth-first search
+    # from the identity that composes on the right with each generator
+    # reaches the whole monoid (Froidure & Pin 1997).
+    elems = {ident}
+    frontier = [ident]
+    while frontier:
+        nxt = []
+        for f in frontier:
+            for g in gens:
                 h = tuple(f[g[x]] for x in range(k))
                 if h not in elems:
                     elems.add(h)
-                    changed = True
                     if len(elems) > max_size:
                         raise CapacityError("closure exceeded size cap")
+                    nxt.append(h)
+        frontier = nxt
     ordered = sorted(elems)
     index = {f: i for i, f in enumerate(ordered)}
     table = [[index[tuple(f[g[x]] for x in range(k))] for g in ordered] for f in ordered]

@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable, Mapping, Optional, Sequence
 
+import numpy as np
+
 from .errors import CapacityError, UsageError, ValidationError
 from .monoid import FiniteMonoid, LeftIdeal, ideal_action
 
@@ -68,16 +70,17 @@ class MSet:
         for i in range(k):
             if self._table[ident][i] != i:
                 raise ValidationError("identity element does not act trivially")
+        # One row m at a time: table[m][table] is "act by n, then by m" for
+        # every (n, i), and table[mul[m]] is "act by the product mn".  The
+        # narrowest index dtype keeps these n-by-k temporaries small.
+        table = np.asarray(self._table, dtype=np.min_scalar_type(k - 1)).reshape(n, k)
         mul = self.monoid.table
         for m in range(n):
-            tm = self._table[m]
-            for nn in range(n):
-                tn = self._table[nn]
-                tmn = self._table[mul[m][nn]]
-                for i in range(k):
-                    if tm[tn[i]] != tmn[i]:
-                        raise ValidationError(
-                            f"action law fails at m={m}, n={nn}, point index {i}")
+            bad = np.argwhere(table[m][table] != table[list(mul[m])])
+            if len(bad):
+                nn, i = (int(v) for v in bad[0])
+                raise ValidationError(
+                    f"action law fails at m={m}, n={nn}, point index {i}")
 
     def act(self, m: int, x: Point) -> Point:
         return self.points[self._table[m][self._index[x]]]

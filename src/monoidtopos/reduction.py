@@ -73,8 +73,16 @@ class ProjectorAlphabet:
         cached = self._cache.get(q)
         if cached is not None:
             return cached
-        result = self.matrix(q[0]) @ self.reduce(q[1:])
-        self._cache[q] = result
+        j = 1
+        while q[j:] not in self._cache:
+            j += 1
+        # Look every letter up before caching anything, so an unknown
+        # letter leaves the memo untouched.
+        mats = [self.matrix(name) for name in q[:j]]
+        result = self._cache[q[j:]]
+        for i in range(j - 1, -1, -1):
+            result = mats[i] @ result
+            self._cache[q[i:]] = result
         return result
 
 

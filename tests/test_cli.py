@@ -4,6 +4,7 @@ import os
 from contextlib import redirect_stdout
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from monoidtopos.cli import main
@@ -152,3 +153,42 @@ def test_cli_pretty_mode_runs():
 def test_cli_timing_flag_adds_field():
     _, out = run_cli(["parse", FIXTURE, "--timing"])
     assert "timing_ms" in json.loads(out)
+
+
+@pytest.mark.parametrize("argv", [
+    ["valuate", FIXTURE, "--system", "Q", "--state", "psi", "--op", "A",
+     "--range", "{5}", "--alphabet", "(Pz,Pplus)"],
+    ["sieve", FIXTURE, "--system", "Q", "--context", "(Pz,Pplus)",
+     "--state", "e1", "--op", "A", "--range", "{5}"],
+    ["valuate-quantum", FIXTURE, "--system", "Q", "--state", "psi",
+     "--op", "A", "--range", "{5}"],
+])
+def test_cli_rejects_range_outside_value_set(argv):
+    code, out = run_cli(argv)
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["status"] == "error"
+    assert "range value 5.0 is not in the value set" in payload["diagnostics"][0]["message"]
+
+
+def test_cli_long_sieve_context():
+    # a 3000-letter context reduces without one stack frame per letter
+    context = "(" + ",".join(["Pz"] * 3000) + ")"
+    code, out = run_cli(["sieve", FIXTURE, "--system", "Q", "--context", context,
+                         "--state", "e1", "--op", "A", "--range", "{-1}"])
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["status"] == "ok"
+    assert payload["result"]["sieve"]["includedTailLengths"] == []
+
+
+def test_cli_numeric_failure_is_an_error(monkeypatch):
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    code, out = run_cli(RUNS["valuate_quantum"])
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["status"] == "error"
+    assert "eigendecomposition failed" in payload["diagnostics"][0]["message"]

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from monoidtopos.corpus import random_hermitian, random_projector, random_state
+from monoidtopos.corpus import (random_hermitian, random_projector, random_state,
+                                random_unitary)
 from monoidtopos.errors import (DomainError, NumericError, PreconditionError,
                                 StructureError, ValidationError)
 from monoidtopos.linalg import (DEFAULT_TOL, Projector, Ray, Subspace,
@@ -200,6 +203,88 @@ def test_operator_norm_matches_numpy():
         dim = int(rng.integers(1, 6))
         a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
         assert operator_norm(a) == pytest.approx(np.linalg.norm(a, 2), abs=1e-9)
+
+
+def _with_spectrum(values, seed: int) -> np.ndarray:
+    u = random_unitary(np.random.default_rng(seed), len(values))
+    return u @ np.diag(np.asarray(values, dtype=complex)) @ u.conj().T
+
+
+# Offsets in units of eps: below, at and above the clustering threshold.
+_EPS_GAPS = (0.0, 0.1, 0.5, 0.9, 1.1, 2.0, 10.0, 1e3)
+
+
+@st.composite
+def _clustered_spectra(draw):
+    centres = draw(st.lists(st.integers(-8, 8), min_size=1, max_size=4))
+    dim = draw(st.integers(1, 8))
+    values = [draw(st.sampled_from(centres)) / 2.0
+              + draw(st.sampled_from(_EPS_GAPS)) * DEFAULT_TOL.eps
+              for _ in range(dim)]
+    return values, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_clustered_spectra())
+def test_eig_near_degenerate_against_eigvalsh(case):
+    values, seed = case
+    a = _with_spectrum(values, seed)
+    eps = DEFAULT_TOL.eps
+    scale = max(1.0, float(np.max(np.abs(a))))
+    op = hermitian_eig(a)
+    assert list(op.eigenvalues) == sorted(op.eigenvalues)
+    assert sum(b.shape[1] for b in op.bases) == len(values)
+    got = np.concatenate([np.full(b.shape[1], lam)
+                          for lam, b in zip(op.eigenvalues, op.bases)])
+    want = np.linalg.eigvalsh((a + a.conj().T) / 2.0)
+    # a merged cluster is reported at its mean, which lies within the
+    # clustering threshold of every member
+    assert np.max(np.abs(got - want)) <= 1.01 * eps * scale
+    for lam, b in zip(op.eigenvalues, op.bases):
+        assert np.allclose(b.conj().T @ b, np.eye(b.shape[1]), atol=1e-12)
+        assert np.linalg.norm(a @ b - lam * b, 2) <= 2 * eps * scale
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.integers(-8, 8), min_size=1, max_size=4, unique=True),
+       st.data())
+def test_eig_snap_to_against_eigvalsh(targets, data):
+    targets = [t / 2.0 for t in targets]
+    dim = data.draw(st.integers(1, 8))
+    labels = [data.draw(st.sampled_from(targets)) for _ in range(dim)]
+    offsets = [data.draw(st.sampled_from((-0.9, -0.5, 0.0, 0.5, 0.9)))
+               * DEFAULT_TOL.eps * max(1.0, abs(x)) for x in labels]
+    a = _with_spectrum([x + d for x, d in zip(labels, offsets)],
+                       data.draw(st.integers(0, 2**32 - 1)))
+    op = hermitian_eig(a, snap_to=targets)
+    assert op.eigenvalues == tuple(sorted(set(labels)))
+    assert [b.shape[1] for b in op.bases] == [labels.count(x) for x in op.eigenvalues]
+    want = np.linalg.eigvalsh((a + a.conj().T) / 2.0)
+    got = np.concatenate([np.full(b.shape[1], lam)
+                          for lam, b in zip(op.eigenvalues, op.bases)])
+    assert np.max(np.abs(got - want)) <= DEFAULT_TOL.eps * 4.0
+
+    # one eigenvalue pushed beyond the snapping tolerance must be rejected
+    pushed = list(labels)
+    pushed[0] += 3 * DEFAULT_TOL.eps * max(1.0, abs(labels[0]))
+    with pytest.raises(ValidationError):
+        hermitian_eig(_with_spectrum(pushed, 1), snap_to=targets)
+
+
+def _raise_linalg_error(*args, **kwargs):
+    raise np.linalg.LinAlgError("did not converge")
+
+
+def test_eig_failure_is_a_numeric_error(monkeypatch):
+    monkeypatch.setattr(np.linalg, "eigh", _raise_linalg_error)
+    with pytest.raises(NumericError, match="eigendecomposition failed"):
+        hermitian_eig(SZ)
+
+
+def test_operator_norm_failure_is_a_numeric_error(monkeypatch):
+    monkeypatch.setattr(np.linalg, "norm", _raise_linalg_error)
+    with pytest.raises(NumericError, match="operator norm failed"):
+        operator_norm(PZ)
 
 
 def test_orthonormalize_rank_decision():

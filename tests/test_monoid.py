@@ -1,10 +1,12 @@
+import numpy as np
 import pytest
 
-from monoidtopos.errors import StructureError, UsageError
+from monoidtopos.errors import CapacityError, StructureError, UsageError
 from monoidtopos.monoid import (FiniteMonoid, LeftIdeal, enumerate_left_ideals,
                                 heyting_implies, heyting_not, heyting_report,
-                                ideal_action, map_monoid, verify_associativity)
-from monoidtopos.corpus import small_monoids
+                                ideal_action, map_monoid, submonoid_closure,
+                                verify_associativity)
+from monoidtopos.corpus import random_monoids, small_monoids
 
 
 def test_constructor_rejects_malformed_tables():
@@ -140,11 +142,88 @@ def test_heyting_report_shape(m2):
     assert report["excluded_middle_failures"] == [("1",)]
 
 
-def test_closure_enumeration_matches_filtering():
-    # the closure-generation path must agree with subset filtering
-    from monoidtopos.monoid import _ideals_by_closure
+# ---------------------------------------------------------------------------
+# Reference oracles: the direct searches that the closed forms replace
 
-    for mon in small_monoids(3) + [map_monoid(2)]:
-        filtered = sorted(i.mask for i in enumerate_left_ideals(mon))
-        closed = sorted(set(_ideals_by_closure(mon)) | {0})
-        assert filtered == closed
+
+def _implies_by_action(lhs: LeftIdeal, rhs: LeftIdeal) -> int:
+    """The m whose action on lhs stays inside its action on rhs, by
+    computing both actions element by element."""
+    mon = lhs.monoid
+    mask = 0
+    for m in range(mon.size):
+        amask = bmask = 0
+        for mp in range(mon.size):
+            prod = mon.table[mp][m]
+            if lhs.mask >> prod & 1:
+                amask |= 1 << mp
+            if rhs.mask >> prod & 1:
+                bmask |= 1 << mp
+        if amask & ~bmask == 0:
+            mask |= 1 << m
+    return mask
+
+
+def _ideals_by_filtering(mon: FiniteMonoid) -> list[int]:
+    """Every subset closed under left multiplication."""
+    return [mask for mask in range(1 << mon.size)
+            if all(mask >> mon.table[a][i] & 1
+                   for i in range(mon.size) if mask >> i & 1
+                   for a in range(mon.size))]
+
+
+def _closure_by_fixpoint(gens, k: int) -> set[tuple[int, ...]]:
+    """Compose all pairs of known maps until nothing new appears."""
+    elems = {tuple(range(k)), *(tuple(g) for g in gens)}
+    changed = True
+    while changed:
+        changed = False
+        for f in sorted(elems):
+            for g in sorted(elems):
+                h = tuple(f[g[x]] for x in range(k))
+                if h not in elems:
+                    elems.add(h)
+                    changed = True
+    return elems
+
+
+def _oracle_corpus() -> list[FiniteMonoid]:
+    return small_monoids(3) + random_monoids(31, 12) + [map_monoid(3)]
+
+
+def test_implies_closed_form_matches_action_loop():
+    for mon in _oracle_corpus():
+        ideals = enumerate_left_ideals(mon)
+        for a in ideals:
+            for b in ideals:
+                assert heyting_implies(a, b).mask == _implies_by_action(a, b)
+
+
+def test_closure_enumeration_matches_filtering():
+    # the principal-ideal closure must agree with filtering every subset
+    corpus = (small_monoids(3) + [map_monoid(2)] + random_monoids(2027, 6)
+              + random_monoids(5, 4, sizes=(7, 8)))
+    for mon in corpus:
+        closed = [i.mask for i in enumerate_left_ideals(mon)]
+        assert closed == sorted(_ideals_by_filtering(mon),
+                                key=lambda k: (k.bit_count(), k))
+
+
+def test_breadth_first_closure_matches_fixpoint():
+    rng = np.random.default_rng(2027)
+    for _ in range(80):
+        k = int(rng.integers(2, 5))
+        gens = [tuple(int(x) for x in rng.integers(0, k, size=k))
+                for _ in range(int(rng.integers(1, 4)))]
+        cap = int(rng.integers(2, 40))
+        ordered = sorted(_closure_by_fixpoint(gens, k))
+        if len(ordered) > cap:
+            with pytest.raises(CapacityError):
+                submonoid_closure(gens, k, max_size=cap)
+            continue
+        m = submonoid_closure(gens, k, max_size=cap)
+        index = {f: i for i, f in enumerate(ordered)}
+        assert m.names == tuple("f" + "".join(map(str, f)) for f in ordered)
+        assert m.identity == index[tuple(range(k))]
+        assert m.table == tuple(tuple(index[tuple(f[g[x]] for x in range(k))]
+                                      for g in ordered) for f in ordered)

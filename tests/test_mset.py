@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from monoidtopos.corpus import small_monoids
@@ -21,6 +22,43 @@ def test_action_laws_enforced(m2):
     with pytest.raises(ValidationError):
         # e must act idempotently for ee = e; sending e*0 -> 1, e*1 -> 0 breaks it
         MSet(m2, [0, 1], [[0, 1], [1, 0]])
+
+
+def _first_law_failure(mon, table):
+    """Reference: the first (m, n, i) in loop order where acting by n and
+    then by m differs from acting by the product mn."""
+    for m in range(mon.size):
+        for n in range(mon.size):
+            for i in range(len(table[0])):
+                if table[m][table[n][i]] != table[mon.table[m][n]][i]:
+                    return m, n, i
+    return None
+
+
+def test_action_law_error_names_first_failure(mm2):
+    # the identity f01 acts trivially and the constant f00 is consistent;
+    # the swap f10 after f00 is the first product the table gets wrong
+    table = [[0, 0, 0], [0, 1, 2], [2, 1, 0], [1, 1, 2]]
+    assert _first_law_failure(mm2, table) == (2, 0, 0)
+    with pytest.raises(ValidationError, match=r"^action law fails at m=2, n=0, point index 0$"):
+        MSet(mm2, [0, 1, 2], table)
+
+
+def test_action_law_check_matches_loop_on_random_tables():
+    rng = np.random.default_rng(7)
+    for mon in small_monoids(3) + [map_monoid(2)]:
+        for _ in range(40):
+            k = int(rng.integers(1, 5))
+            table = rng.integers(0, k, size=(mon.size, k)).tolist()
+            table[mon.identity] = list(range(k))
+            expected = _first_law_failure(mon, table)
+            if expected is None:
+                MSet(mon, range(k), table)
+                continue
+            m, n, i = expected
+            with pytest.raises(ValidationError,
+                               match=rf"^action law fails at m={m}, n={n}, point index {i}$"):
+                MSet(mon, range(k), table)
 
 
 def test_trivial_and_full_subsets_invariant(points2):
