@@ -10,9 +10,11 @@ keeping default reports reproducible.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import sys
 import time
+from contextlib import redirect_stderr, redirect_stdout
 from typing import Optional
 
 import numpy as np
@@ -20,17 +22,16 @@ import numpy as np
 from . import selftest as selftest_mod
 from .classical import (E_s_valuation, classical_truth,
                         generalized_classical_valuation)
-from .context import (RaySet, StringUniverse, closure_rays, context_truth_equal,
-                      is_full, polar_of_rays, polar_of_strings, sieve_truth_equal,
-                      sieve_valuation)
+from .context import (RaySet, closure_rays, context_truth_equal, is_full, polar_of_rays,
+                      polar_of_strings, sieve_truth_equal, sieve_valuation)
 from .dsl import ParseResult, SystemSpec, _lex, _Parser, parse_spec, pretty_print
 from .errors import MonoidToposError
 from .linalg import TolerancePolicy
 from .monoid import enumerate_left_ideals, heyting_report
 from .mset import truth_equal, truth_in_invariant, truth_in_subset, truth_subset_leq
 from .quantum import E_psi_valuation_via_arrow, quantum_function_valuation
-from .reduction import (ProjectorAlphabet, truth_ray_equal_strings, valuation_density,
-                        valuation_ray, valuation_vector)
+from .reduction import (truth_ray_equal_strings, valuation_density, valuation_ray,
+                        valuation_vector)
 
 SCHEMA_VERSION = 1
 
@@ -46,10 +47,6 @@ def complex_payload(z: complex) -> list[float]:
 
 def vector_payload(v) -> list[list[float]]:
     return [complex_payload(z) for z in np.asarray(v).reshape(-1)]
-
-
-def matrix_payload(m) -> list[list[list[float]]]:
-    return [[complex_payload(z) for z in row] for row in np.asarray(m)]
 
 
 def ideal_payload(ideal) -> dict:
@@ -109,16 +106,22 @@ def _load_spec(path: str, tolerance: TolerancePolicy) -> tuple[Optional[SystemSp
     return result.spec, []
 
 
-def _tolerance_from_args(args) -> TolerancePolicy:
-    return TolerancePolicy(args.tol, args.null_threshold)
+def _check_max_dim(spec: SystemSpec, max_dim: int) -> None:
+    for name, rq in sorted(spec.quantum.items()):
+        if rq.system.dim > max_dim:
+            raise CliError(f"quantum system {name!r} has dimension {rq.system.dim}, "
+                           f"above --max-dim {max_dim}")
+
+
+def _need(args, mode: str, *flags: str) -> None:
+    """Raise a CliError naming the first flag that this mode needs and did not get."""
+    for flag in flags:
+        if getattr(args, flag) is None:
+            raise CliError(f"{mode} needs --{flag}")
 
 
 def _quantum(spec: SystemSpec, name: str):
     return spec.lookup(spec.quantum, name, "quantum system")
-
-
-def _alphabet_from(spec: SystemSpec, system: str, letters: tuple[str, ...]) -> ProjectorAlphabet:
-    return spec.alphabet_for(system, letters)
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +163,10 @@ def cmd_truth(spec: SystemSpec, args) -> tuple[dict, None]:
     mset = spec.lookup(spec.msets, args.mset, "mset")
 
     def int_set(text):
-        return frozenset(int(v) for v in _parse_value_set(text))
+        values = _parse_value_set(text)
+        if not all(v.is_integer() for v in values):
+            raise CliError(f"subset {text!r} has an entry that is not a point index")
+        return frozenset(int(v) for v in values)
 
     if args.kind == "invariant":
         ideal = truth_in_invariant(mset, args.point, int_set(args.subset))
@@ -215,10 +221,11 @@ def cmd_valuate(spec: SystemSpec, args) -> tuple[dict, dict]:
     delta = _parse_value_set(args.range)
     rq.system.range_indices(delta)
     letters = _letters_or_default(spec, args)
-    alphabet = _alphabet_from(spec, args.system, letters)
+    alphabet = spec.alphabet_for(args.system, letters)
     op = rq.system.operator(args.op)
     depth = args.depth
     universe = {"alphabet": list(letters), "depth": depth}
+    _need(args, f"valuate --mode {args.mode}", "density" if args.mode == "density" else "state")
     if args.mode == "vector":
         ideal = valuation_vector(alphabet, rq.state(args.state), op, delta, depth)
     elif args.mode == "ray":
@@ -237,19 +244,21 @@ def cmd_equal(spec: SystemSpec, args) -> tuple[dict, Optional[dict]]:
     phi = rq.state(args.state2)
     if args.mode == "sp":
         letters = _letters_or_default(spec, args)
-        alphabet = _alphabet_from(spec, args.system, letters)
+        alphabet = spec.alphabet_for(args.system, letters)
         ideal = truth_ray_equal_strings(alphabet, psi, phi, args.depth)
         return ({"ideal": bounded_ideal_payload(ideal)},
                 {"alphabet": list(letters), "depth": args.depth})
     if args.mode == "context":
+        _need(args, "equal --mode context", "universe", "rayset")
         universe = spec.universe(args.universe)
         _, xi = spec.rayset(args.rayset)
         accepted = context_truth_equal(psi, phi, xi, universe)
         return ({"strings": strings_payload(accepted)},
                 _universe_payload(spec, args.universe))
     if args.mode == "sieve":
+        _need(args, "equal --mode sieve", "context")
         context = _parse_name_group(args.context)
-        alphabet = _alphabet_from(spec, args.system, tuple(dict.fromkeys(context)))
+        alphabet = spec.alphabet_for(args.system, tuple(dict.fromkeys(context)))
         sieve = sieve_truth_equal(alphabet, psi, phi, context)
         return {"sieve": sieve.to_payload()}, None
     raise CliError(f"unknown equality mode {args.mode!r}")
@@ -267,6 +276,7 @@ def cmd_polar(spec: SystemSpec, args) -> tuple[dict, dict]:
         strings = polar_of_rays(xi, universe)
         return {"strings": strings_payload(strings)}, _universe_payload(spec, args.universe)
     if args.strings:
+        _need(args, "polar --strings", "candidates")
         subset = [tuple(_parse_name_group(part)) for part in args.strings.split(";") if part.strip()]
         _, candidates = spec.rayset(args.candidates)
         rays = polar_of_strings(universe, subset, candidates)
@@ -289,11 +299,12 @@ def cmd_closure(spec: SystemSpec, args) -> tuple[dict, dict]:
 def cmd_sieve(spec: SystemSpec, args) -> tuple[dict, None]:
     rq = _quantum(spec, args.system)
     context = _parse_name_group(args.context)
-    alphabet = _alphabet_from(spec, args.system, tuple(dict.fromkeys(context)))
+    alphabet = spec.alphabet_for(args.system, tuple(dict.fromkeys(context)))
     psi = rq.state(args.state)
     if args.state2:
         sieve = sieve_truth_equal(alphabet, psi, rq.state(args.state2), context)
     else:
+        _need(args, "sieve without --state2", "op", "range")
         op = rq.system.operator(args.op)
         delta = _parse_value_set(args.range)
         rq.system.range_indices(delta)
@@ -314,17 +325,21 @@ def cmd_query(spec: SystemSpec, args) -> tuple[dict, Optional[dict]]:
             continue
         argv.append(f"--{key.replace('_', '-')}")
         argv.append(value)
-    sub_parser = build_parser()
-    sub_args = sub_parser.parse_args(argv + ["--seed", str(args.seed)])
-    handler = _HANDLERS[run]
-    return handler(spec, sub_args)
+    # argparse reports entries it rejects by printing and exiting; they
+    # come from the file, so they end in an error report instead.
+    printed = io.StringIO()
+    try:
+        with redirect_stdout(printed), redirect_stderr(printed):
+            sub_args = build_parser().parse_args(argv + ["--seed", str(args.seed)])
+    except SystemExit:
+        reason = printed.getvalue().strip().splitlines()[-1]
+        raise CliError(f"query {args.name!r} does not parse: {reason}") from None
+    _check_max_dim(spec, sub_args.max_dim)
+    return sub_args.handler(spec, sub_args)
 
 
 # ---------------------------------------------------------------------------
 # Wiring
-
-
-_HANDLERS = {}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -351,7 +366,6 @@ def build_parser() -> argparse.ArgumentParser:
         if needs_file:
             p.add_argument("file", help="system definition file")
         p.set_defaults(handler=handler)
-        _HANDLERS[name] = handler
         return p
 
     add("parse", cmd_parse, help="validate a definition file")
@@ -481,6 +495,7 @@ def main(argv: Optional[list[str]] = None) -> int:
                 report["diagnostics"] = diagnostics
                 code = 1
             else:
+                _check_max_dim(spec, args.max_dim)
                 result, universe = args.handler(spec, args)
                 report["result"] = result
                 report["universe"] = universe

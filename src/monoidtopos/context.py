@@ -15,8 +15,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import ContextError, PreconditionError, UsageError, ValidationError
-from .linalg import (DEFAULT_TOL, HermitianOperator, Ray, Subspace, TolerancePolicy,
-                     as_vector, image_subspace, in_subspace, operator_norm, ray_equal)
+from .linalg import (DEFAULT_TOL, HermitianOperator, Ray, TolerancePolicy, as_vector,
+                     image_subspace, in_subspace, operator_norm, ray_equal)
 from .reduction import ProjectorAlphabet
 from .strings import DEFAULT_STRING_BUDGET, Letters
 

@@ -219,9 +219,6 @@ class QueryDecl:
     loc: Diagnostic = field(compare=False, repr=False, default=Diagnostic(0, 0, ""))
 
 
-Decl = object
-
-
 class _Parser:
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens

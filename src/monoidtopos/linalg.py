@@ -91,10 +91,6 @@ class Subspace:
         return Subspace(ambient_dim, np.zeros((ambient_dim, 0)))
 
     @staticmethod
-    def full(ambient_dim: int) -> "Subspace":
-        return Subspace(ambient_dim, np.eye(ambient_dim))
-
-    @staticmethod
     def span(vectors: Sequence[np.ndarray] | np.ndarray,
              tol: TolerancePolicy = DEFAULT_TOL) -> "Subspace":
         cols = np.column_stack([as_vector(v) for v in vectors]) if len(vectors) else None
@@ -163,9 +159,6 @@ class Projector:
 
     def rank(self) -> int:
         return int(round(float(np.real(np.trace(self.matrix)))))
-
-    def image(self, tol: TolerancePolicy = DEFAULT_TOL) -> Subspace:
-        return image_subspace(self.matrix, Subspace.full(self.dim), tol)
 
     def __repr__(self):
         return f"Projector(dim={self.dim}, rank={self.rank()})"

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -60,22 +60,8 @@ class FiniteMonoid:
         self._reach: Optional[tuple[int, ...]] = None
         self._ideals: Optional[tuple["LeftIdeal", ...]] = None
 
-    def mul(self, a: int, b: int) -> int:
-        return self.table[a][b]
-
     def name_of(self, a: int) -> str:
         return self.names[a] if self.names is not None else str(a)
-
-    def element_of(self, name: str) -> int:
-        if self.names is not None and name in self.names:
-            return self.names.index(name)
-        try:
-            a = int(name)
-        except ValueError:
-            raise UsageError(f"unknown element {name!r}") from None
-        if not 0 <= a < self.size:
-            raise UsageError(f"element index {a} out of range")
-        return a
 
     def reach_masks(self) -> tuple[int, ...]:
         """For each element x, the bitmask of {m*x | m in M} (its principal left ideal)."""
@@ -102,9 +88,6 @@ class FiniteMonoid:
                 raise StructureError(f"element index {i} out of range")
             mask |= 1 << i
         return LeftIdeal(self, mask)
-
-    def principal_ideal(self, x: int) -> "LeftIdeal":
-        return LeftIdeal(self, self.reach_masks()[x])
 
     def __repr__(self):
         return f"FiniteMonoid(size={self.size})"

@@ -1,30 +1,32 @@
 """Coarse-grained quantum truth over a finite spectrum-value monoid.
 
-Operators live in a finite-dimensional Hilbert space with spectra snapped
+The quantum kind of the value-set construction in ``classical.py``:
+operators live in a finite-dimensional Hilbert space with spectra snapped
 to a declared finite value set X.  Functions X -> X act on an operator by
 relabelling its eigenvalues, so the orbit of a named operator is carried
-exactly by (base name, label tuple) pairs, and on ranges by set image.
+exactly by (base name, label tuple) pairs, and on ranges by set image.  A
+proposition (A, Δ) holds at a state when the spectral projector of A over
+Δ fixes the state vector; the proposition M-set, the truth set and both
+routes to the valuation are the shared ones of ``classical.py``.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence, Union
+import itertools
+from typing import Iterator, Sequence, Union
 
 import numpy as np
 
-from .errors import (MissingNameError, PreconditionError, UsageError,
-                     ValidationError)
-from .linalg import (DEFAULT_TOL, HermitianOperator, Projector, TolerancePolicy,
-                     as_vector, hermitian_eig)
-from .monoid import FiniteMonoid, LeftIdeal, map_monoid, map_monoid_values
-from .mset import MSet, is_invariant, truth_in_invariant
+from . import classical
+from .errors import MissingNameError, PreconditionError, UsageError, ValidationError
+from .linalg import DEFAULT_TOL, HermitianOperator, TolerancePolicy, as_vector, hermitian_eig
 
 # An operator in the orbit of a named base: the base name together with
 # one value index per eigenvalue cluster of the base.
 LabeledOperator = tuple[str, tuple[int, ...]]
 
 
-class QuantumSystem:
+class QuantumSystem(classical.ValueSetSystem):
     """Named Hermitian operators with spectra inside a finite value set."""
 
     def __init__(self, dim: int, values: Sequence[float],
@@ -32,33 +34,15 @@ class QuantumSystem:
                  tol: TolerancePolicy = DEFAULT_TOL):
         self.dim = int(dim)
         self.tol = tol
-        self.values = tuple(float(v) for v in values)
-        if len(set(self.values)) != len(self.values):
-            raise ValidationError("value set entries must be distinct")
-        self._vindex = {v: i for i, v in enumerate(self.values)}
+        super().__init__(values)
         self.operators: dict[str, HermitianOperator] = {}
         self.labels: dict[str, tuple[int, ...]] = {}
         for name, matrix in (operators or {}).items():
-            self.add_operator(name, matrix)
-        self._monoid: FiniteMonoid | None = None
-
-    def add_operator(self, name: str, matrix) -> HermitianOperator:
-        op = hermitian_eig(matrix, self.tol, snap_to=self.values)
-        if op.dim != self.dim:
-            raise ValidationError(f"operator {name!r} has wrong dimension")
-        self.operators[str(name)] = op
-        self.labels[str(name)] = tuple(self._vindex[lam] for lam in op.eigenvalues)
-        return op
-
-    @property
-    def monoid(self) -> FiniteMonoid:
-        if self._monoid is None:
-            self._monoid = map_monoid(len(self.values))
-        return self._monoid
-
-    @property
-    def maps(self) -> list[tuple[int, ...]]:
-        return map_monoid_values(len(self.values))
+            op = hermitian_eig(matrix, self.tol, snap_to=self.values)
+            if op.dim != self.dim:
+                raise ValidationError(f"operator {name!r} has wrong dimension")
+            self.operators[str(name)] = op
+            self.labels[str(name)] = tuple(self._vindex[lam] for lam in op.eigenvalues)
 
     def operator(self, name: str) -> HermitianOperator:
         try:
@@ -66,7 +50,7 @@ class QuantumSystem:
         except KeyError:
             raise MissingNameError(f"unknown operator {name!r}") from None
 
-    def labeled(self, ref: Union[str, LabeledOperator]) -> LabeledOperator:
+    def subject(self, ref: Union[str, LabeledOperator]) -> LabeledOperator:
         if isinstance(ref, str):
             self.operator(ref)
             return (ref, self.labels[ref])
@@ -79,14 +63,30 @@ class QuantumSystem:
             raise UsageError("label index out of range")
         return (name, labels)
 
-    def range_indices(self, delta: Iterable[float]) -> frozenset[int]:
-        out = set()
-        for v in delta:
-            v = float(v)
-            if v not in self._vindex:
-                raise UsageError(f"range value {v!r} is not in the value set")
-            out.add(self._vindex[v])
-        return frozenset(out)
+    def resolve_state(self, psi) -> tuple[np.ndarray, float]:
+        v = as_vector(psi, self.dim)
+        norm = float(np.linalg.norm(v))
+        if norm <= self.tol.null_threshold:
+            raise PreconditionError("state vector is null")
+        return v, norm
+
+    def subjects(self) -> Iterator[LabeledOperator]:
+        nv = len(self.values)
+        for name in sorted(self.operators):
+            for labels in itertools.product(range(nv), repeat=len(self.labels[name])):
+                yield (name, labels)
+
+    @staticmethod
+    def relabel(f: tuple[int, ...], labeled: LabeledOperator) -> LabeledOperator:
+        name, labels = labeled
+        return (name, tuple(f[l] for l in labels))
+
+    def holds(self, state: tuple[np.ndarray, float], labeled: LabeledOperator,
+              gamma: frozenset[int]) -> bool:
+        """True iff the range projector of the operator fixes the state."""
+        v, norm = state
+        proj = self.range_projector(labeled, gamma)
+        return float(np.linalg.norm(proj @ v - v)) <= self.tol.null_threshold * norm
 
     def range_projector(self, labeled: LabeledOperator, gamma: frozenset[int]) -> np.ndarray:
         """Projector onto the eigenspaces of the labelled operator whose
@@ -100,78 +100,9 @@ class QuantumSystem:
         return total
 
 
-def E_psi_membership(system: QuantumSystem, psi, operator, gamma) -> bool:
-    """True iff the range projector of the operator fixes the state."""
-    v = as_vector(psi, system.dim)
-    norm = float(np.linalg.norm(v))
-    if norm <= system.tol.null_threshold:
-        raise PreconditionError("state vector is null")
-    labeled = system.labeled(operator)
-    g = gamma if isinstance(gamma, frozenset) else system.range_indices(gamma)
-    proj = system.range_projector(labeled, g)
-    return float(np.linalg.norm(proj @ v - v)) <= system.tol.null_threshold * norm
-
-
-def quantum_function_valuation(system: QuantumSystem, psi, operator, delta) -> LeftIdeal:
-    """The maps f on the value set for which the spectral projector of
-    f(operator) over f(range) fixes the state; a left ideal of the map
-    monoid, invariant under rescaling of the state."""
-    v = as_vector(psi, system.dim)
-    norm = float(np.linalg.norm(v))
-    if norm <= system.tol.null_threshold:
-        raise PreconditionError("state vector is null")
-    name, labels = system.labeled(operator)
-    dset = system.range_indices(delta)
-    base = system.operator(name)
-    mon = system.monoid
-    members = []
-    for i, f in enumerate(system.maps):
-        new_labels = tuple(f[l] for l in labels)
-        new_range = frozenset(f[d] for d in dset)
-        proj = system.range_projector((name, new_labels), new_range)
-        if float(np.linalg.norm(proj @ v - v)) <= system.tol.null_threshold * norm:
-            members.append(i)
-    return mon.ideal(members)
-
-
-def proposition_mset(system: QuantumSystem) -> MSet:
-    """The map monoid acting on (labelled operator, range) pairs."""
-    import itertools
-
-    mon = system.monoid
-    maps = system.maps
-    nv = len(system.values)
-    points = []
-    for name in sorted(system.operators):
-        k = len(system.labels[name])
-        for labels in itertools.product(range(nv), repeat=k):
-            for mask in range(1 << nv):
-                gamma = frozenset(i for i in range(nv) if mask >> i & 1)
-                points.append(((name, labels), gamma))
-
-    def act(m: int, point):
-        (name, labels), gamma = point
-        f = maps[m]
-        return ((name, tuple(f[l] for l in labels)), frozenset(f[i] for i in gamma))
-
-    return MSet(mon, points, act)
-
-
-def E_psi_subset(system: QuantumSystem, psi, mset: MSet | None = None) -> frozenset:
-    """The subset of proposition pairs whose range projector fixes the state."""
-    m = mset if mset is not None else proposition_mset(system)
-    return frozenset(point for point in m.points
-                     if E_psi_membership(system, psi, point[0], point[1]))
-
-
-def E_psi_valuation_via_arrow(system: QuantumSystem, psi, operator, delta,
-                              mset: MSet | None = None) -> LeftIdeal:
-    """The characteristic-arrow route: classify the invariant truth set of
-    the state and evaluate at the (operator, range) pair.  Must agree with
-    the direct valuation exactly."""
-    m = mset if mset is not None else proposition_mset(system)
-    subset = E_psi_subset(system, psi, m)
-    if not is_invariant(m, subset):
-        raise ValidationError("quantum truth set failed invariance")
-    point = (system.labeled(operator), system.range_indices(delta))
-    return truth_in_invariant(m, point, subset)
+# The paper's names for the quantum case of the shared construction.
+E_psi_membership = classical.membership
+quantum_function_valuation = classical.valuation
+proposition_mset = classical.proposition_mset
+E_psi_subset = classical.truth_set
+E_psi_valuation_via_arrow = classical.valuation_via_arrow

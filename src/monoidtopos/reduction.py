@@ -8,7 +8,7 @@ left-multiplication that the ideal property quantifies over.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence, Union
+from typing import Sequence
 
 import numpy as np
 

@@ -192,3 +192,96 @@ def test_cli_numeric_failure_is_an_error(monkeypatch):
     payload = json.loads(out)
     assert payload["status"] == "error"
     assert "eigendecomposition failed" in payload["diagnostics"][0]["message"]
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["sieve", FIXTURE, "--system", "Q", "--context", "(Pz,Pplus)", "--state", "e1",
+      "--op", "A"], "sieve without --state2 needs --range"),
+    (["sieve", FIXTURE, "--system", "Q", "--context", "(Pz,Pplus)", "--state", "e1"],
+     "sieve without --state2 needs --op"),
+    (["equal", FIXTURE, "--system", "Q", "--state1", "e1", "--state2", "e2",
+      "--mode", "sieve"], "equal --mode sieve needs --context"),
+    (["equal", FIXTURE, "--system", "Q", "--state1", "e1", "--state2", "e2",
+      "--mode", "context", "--rayset", "Xi"], "equal --mode context needs --universe"),
+    (["equal", FIXTURE, "--system", "Q", "--state1", "e1", "--state2", "e2",
+      "--mode", "context", "--universe", "U"], "equal --mode context needs --rayset"),
+    (["polar", FIXTURE, "--universe", "U", "--strings", "(Pz)"],
+     "polar --strings needs --candidates"),
+    (["valuate", FIXTURE, "--system", "Q", "--op", "A", "--range", "{1}",
+      "--mode", "ray"], "valuate --mode ray needs --state"),
+    (["valuate", FIXTURE, "--system", "Q", "--op", "A", "--range", "{1}",
+      "--mode", "vector"], "valuate --mode vector needs --state"),
+    (["valuate", FIXTURE, "--system", "Q", "--op", "A", "--range", "{1}",
+      "--mode", "density"], "valuate --mode density needs --density"),
+])
+def test_cli_names_a_missing_mode_flag(argv, message):
+    code, out = run_cli(argv)
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["status"] == "error"
+    assert payload["diagnostics"][0]["message"] == message
+
+
+def fixture_with(tmp_path, declaration: str) -> str:
+    """The shared fixture plus one more declaration, written to a new file."""
+    path = tmp_path / "fixture.mtd"
+    source = (REPO_ROOT / FIXTURE).read_text(encoding="utf-8")
+    path.write_text(source + declaration + "\n", encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize("entries,reason", [
+    ("run valuate; system Q; state psi; op A; range {1}; colour red;",
+     "unrecognized arguments: --colour red"),
+    ("run valuate; system Q; state psi; op A;", "required: --range"),
+    ("run valuate; system Q; state psi; op A; range {1}; depth deep;",
+     "invalid int value: 'deep'"),
+    ("run nosuch;", "invalid choice: 'nosuch'"),
+    ("run selftest;", "unrecognized arguments"),
+])
+def test_cli_query_entries_that_do_not_parse(tmp_path, capsys, entries, reason):
+    path = fixture_with(tmp_path, f"query bad {{ {entries} }}")
+    code, out = run_cli(["query", path, "bad"])
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["status"] == "error"
+    message = payload["diagnostics"][0]["message"]
+    assert message.startswith("query 'bad' does not parse: ")
+    assert reason in message
+    assert capsys.readouterr().err == ""
+
+
+def test_cli_bad_top_level_command_line_still_exits_through_argparse(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(RUNS["valuate_quantum"] + ["--colour", "red"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_cli_enforces_max_dim():
+    argv = RUNS["valuate_quantum"]
+    code, out = run_cli(argv + ["--max-dim", "1"])
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["status"] == "error"
+    assert payload["diagnostics"][0]["message"] == (
+        "quantum system 'Q' has dimension 2, above --max-dim 1")
+    code, out = run_cli(argv + ["--max-dim", "2"])
+    assert code == 0 and json.loads(out)["status"] == "ok"
+
+
+def test_cli_enforces_max_dim_from_a_query_entry(tmp_path):
+    path = fixture_with(tmp_path, "query small { run parse; max_dim 1; }")
+    code, out = run_cli(["query", path, "small"])
+    assert code == 1
+    assert json.loads(out)["diagnostics"][0]["message"] == (
+        "quantum system 'Q' has dimension 2, above --max-dim 1")
+
+
+@pytest.mark.parametrize("flag", ["--subset", "--subset2"])
+def test_cli_truth_rejects_subset_entries_that_are_not_integers(flag):
+    code, out = run_cli(["truth", FIXTURE, "--mset", "Pts", "--kind", "leq", flag, "{1.5}"])
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["status"] == "error"
+    assert "'{1.5}' has an entry that is not a point index" in payload["diagnostics"][0]["message"]
