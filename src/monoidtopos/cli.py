@@ -26,7 +26,7 @@ from .context import (RaySet, closure_rays, context_truth_equal, is_full, polar_
                       polar_of_strings, sieve_truth_equal, sieve_valuation)
 from .dsl import ParseResult, SystemSpec, _lex, _Parser, parse_spec, pretty_print
 from .errors import MonoidToposError
-from .linalg import TolerancePolicy
+from .linalg import DEFAULT_TOL, TolerancePolicy
 from .monoid import enumerate_left_ideals, heyting_report
 from .mset import truth_equal, truth_in_invariant, truth_in_subset, truth_subset_leq
 from .quantum import E_psi_valuation_via_arrow, quantum_function_valuation
@@ -93,16 +93,16 @@ def _parse_name_group(text: str) -> tuple[str, ...]:
     return names
 
 
-def _load_spec(path: str, tolerance: TolerancePolicy) -> tuple[Optional[SystemSpec], list]:
+def _load_spec(path: str, eps: Optional[float],
+               null_threshold: Optional[float]) -> tuple[Optional[SystemSpec], list]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
         return None, [{"line": 0, "col": 0, "message": f"cannot read {path}: {exc}"}]
-    result: ParseResult = parse_spec(text)
+    result: ParseResult = parse_spec(text, eps, null_threshold)
     if result.spec is None:
         return None, [d.to_payload() for d in result.diagnostics]
-    result.spec.tolerance = tolerance
     return result.spec, []
 
 
@@ -334,6 +334,10 @@ def cmd_query(spec: SystemSpec, args) -> tuple[dict, Optional[dict]]:
     except SystemExit:
         reason = printed.getvalue().strip().splitlines()[-1]
         raise CliError(f"query {args.name!r} does not parse: {reason}") from None
+    # The file is already resolved at one tolerance; a query cannot change it.
+    if sub_args.tol is not None or sub_args.null_threshold is not None:
+        raise CliError(f"query {args.name!r} sets a tolerance; set it in the file's "
+                       "tolerance block or on the command line")
     _check_max_dim(spec, sub_args.max_dim)
     return sub_args.handler(spec, sub_args)
 
@@ -344,10 +348,12 @@ def cmd_query(spec: SystemSpec, args) -> tuple[dict, Optional[dict]]:
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--tol", type=float, default=1e-9,
-                        help="comparison tolerance eps")
-    common.add_argument("--null-threshold", type=float, default=1e-9,
-                        help="norm below which a vector counts as null")
+    common.add_argument("--tol", type=float,
+                        help="comparison tolerance eps (default: the file's "
+                             "tolerance block, else 1e-9)")
+    common.add_argument("--null-threshold", type=float,
+                        help="norm below which a vector counts as null (default: "
+                             "the file's tolerance block, else 1e-9)")
     common.add_argument("--depth", type=int, default=4,
                         help="string verification depth")
     common.add_argument("--max-dim", type=int, default=16)
@@ -474,27 +480,33 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     started = time.perf_counter()
-    tolerance = TolerancePolicy(args.tol, args.null_threshold)
+    # An explicit flag takes precedence over the file's tolerance block,
+    # which takes precedence over the default.
+    eps = DEFAULT_TOL.eps if args.tol is None else args.tol
+    null = DEFAULT_TOL.null_threshold if args.null_threshold is None else args.null_threshold
     report = {
         "schema": SCHEMA_VERSION,
         "command": args.command,
-        "tolerance": {"eps": tolerance.eps, "null_threshold": tolerance.null_threshold},
+        "tolerance": {"eps": eps, "null_threshold": null},
         "universe": None,
     }
     code = 0
     try:
+        tolerance = TolerancePolicy(eps, null)  # rejects bad flags before the file is read
         if args.command == "selftest":
             result = selftest_mod.run_selftest(seed=args.seed, tolerance=tolerance)
             report["result"] = result
             report["status"] = "ok" if result["all_passed"] else "failed"
             code = 0 if result["all_passed"] else 1
         else:
-            spec, diagnostics = _load_spec(args.file, tolerance)
+            spec, diagnostics = _load_spec(args.file, args.tol, args.null_threshold)
             if spec is None:
                 report["status"] = "error"
                 report["diagnostics"] = diagnostics
                 code = 1
             else:
+                args.tol, args.null_threshold = spec.tolerance.eps, spec.tolerance.null_threshold
+                report["tolerance"] = {"eps": args.tol, "null_threshold": args.null_threshold}
                 _check_max_dim(spec, args.max_dim)
                 result, universe = args.handler(spec, args)
                 report["result"] = result

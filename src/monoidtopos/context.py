@@ -4,7 +4,12 @@ and sieve-valued contextual truth.
 Polars are computed relative to explicit finite universes: a StringUniverse
 (all strings up to a length bound whose reduction is non-null) and a RaySet
 of candidate rays.  All Galois identities hold exactly for the restricted
-relation "the string does not annihilate the ray".
+relation "the string does not annihilate the ray".  Each polar evaluates
+that relation as one boolean matrix, rows indexed by strings and columns
+by rays (the norms of the stacked reductions applied to the stacked ray
+representatives, compared with the null threshold), and reduces it with
+``all`` along the rows or the columns.  Ray-set membership is likewise
+one matrix of normalised overlaps.
 """
 
 from __future__ import annotations
@@ -14,24 +19,38 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import ContextError, PreconditionError, UsageError, ValidationError
+from .errors import (ContextError, PreconditionError, StructureError, UsageError,
+                     ValidationError)
 from .linalg import (DEFAULT_TOL, HermitianOperator, Ray, TolerancePolicy, as_vector,
                      image_subspace, in_subspace, operator_norm, ray_equal)
 from .reduction import ProjectorAlphabet
 from .strings import DEFAULT_STRING_BUDGET, Letters
 
 
+def _same_rays(left: Sequence[Ray], right: Sequence[Ray], tol: TolerancePolicy) -> np.ndarray:
+    """Entry [i, j] is True iff left[i] and right[j] span the same ray: their
+    normalised overlap |<a, b>| / (|a| |b|) is at least 1 - eps, as in
+    ray_equal."""
+    if not left or not right:
+        return np.zeros((len(left), len(right)), dtype=bool)
+    a = np.column_stack([r.representative for r in left])
+    b = np.column_stack([r.representative for r in right])
+    if a.shape[0] != b.shape[0]:
+        raise StructureError(f"expected a vector of dimension {a.shape[0]}")
+    norms = np.outer(np.linalg.norm(a, axis=0), np.linalg.norm(b, axis=0))
+    return np.abs(a.conj().T @ b) / norms >= 1.0 - tol.eps
+
+
 class RaySet:
     """An ordered finite set of rays (duplicates up to phase rejected)."""
 
     def __init__(self, vectors: Sequence, tol: TolerancePolicy = DEFAULT_TOL):
-        rays: list[Ray] = []
-        for v in vectors:
-            ray = v if isinstance(v, Ray) else Ray(v, tol)
-            if any(ray.same_ray(r, tol) for r in rays):
-                raise ValidationError("ray set contains a duplicate ray")
-            rays.append(ray)
-        self.rays = tuple(rays)
+        rays = tuple(v if isinstance(v, Ray) else Ray(v, tol) for v in vectors)
+        if any(r.dim != rays[0].dim for r in rays):
+            raise StructureError(f"expected a vector of dimension {rays[0].dim}")
+        if np.triu(_same_rays(rays, rays, tol), 1).any():
+            raise ValidationError("ray set contains a duplicate ray")
+        self.rays = rays
         self.tol = tol
 
     @property
@@ -46,10 +65,10 @@ class RaySet:
 
     def index_of(self, vector_or_ray) -> int:
         ray = vector_or_ray if isinstance(vector_or_ray, Ray) else Ray(vector_or_ray, self.tol)
-        for i, r in enumerate(self.rays):
-            if r.same_ray(ray, self.tol):
-                return i
-        raise UsageError("ray is not in the set")
+        hits = np.flatnonzero(_same_rays(self.rays, [ray], self.tol)[:, 0])
+        if not hits.size:
+            raise UsageError("ray is not in the set")
+        return int(hits[0])
 
     def contains(self, vector_or_ray) -> bool:
         try:
@@ -65,7 +84,7 @@ class RaySet:
         return out
 
     def is_subset_of(self, other: "RaySet") -> bool:
-        return all(other.contains(r) for r in self.rays)
+        return bool(_same_rays(other.rays, self.rays, other.tol).any(axis=0).all())
 
 
 def in_sp0(alphabet: ProjectorAlphabet, letters: Sequence[str]) -> bool:
@@ -109,17 +128,27 @@ class StringUniverse:
         return tuple(out)
 
 
-def _annihilates(alphabet: ProjectorAlphabet, q: Letters, ray: Ray) -> bool:
-    image = alphabet.reduce(q) @ ray.representative
-    return float(np.linalg.norm(image)) <= alphabet.tol.null_threshold
+def _non_annihilation(alphabet: ProjectorAlphabet, strings: Sequence[Letters],
+                      rays: RaySet) -> np.ndarray:
+    """The relation of the Galois connection as a boolean matrix: entry
+    [i, j] is True iff strings[i] does not annihilate rays[j], i.e. its
+    reduction sends the ray's representative above the null threshold."""
+    d = alphabet.dim
+    if len(rays) and rays.dim != d:
+        raise ContextError(f"ray set has dimension {rays.dim}, "
+                           f"but the universe's strings act on dimension {d}")
+    reductions = np.array([alphabet.reduce(q) for q in strings], dtype=complex)
+    vectors = np.array([r.representative for r in rays], dtype=complex).reshape(-1, d).T
+    images = (reductions.reshape(-1, d) @ vectors).reshape(len(strings), d, len(rays))
+    return np.linalg.norm(images, axis=1) > alphabet.tol.null_threshold
 
 
 def polar_of_rays(xi: RaySet, universe: StringUniverse) -> tuple[Letters, ...]:
     """Strings of the universe annihilating no ray of the set (the arrows
     out of the set, relative to the universe)."""
-    alphabet = universe.alphabet
-    return tuple(q for q in universe.members
-                 if all(not _annihilates(alphabet, q, ray) for ray in xi))
+    members = universe.members
+    keep = _non_annihilation(universe.alphabet, members, xi).all(axis=1)
+    return tuple(q for q, k in zip(members, keep) if k)
 
 
 def polar_of_strings(universe: StringUniverse, strings: Iterable[Letters],
@@ -127,10 +156,8 @@ def polar_of_strings(universe: StringUniverse, strings: Iterable[Letters],
     """Rays of the candidate set annihilated by no string of the given
     subset of the universe."""
     subset = universe.check_subset(strings)
-    alphabet = universe.alphabet
-    kept = [i for i, ray in enumerate(candidates.rays)
-            if all(not _annihilates(alphabet, q, ray) for q in subset)]
-    return candidates.subset(kept)
+    keep = _non_annihilation(universe.alphabet, subset, candidates).all(axis=0)
+    return candidates.subset(np.flatnonzero(keep).tolist())
 
 
 def closure_rays(xi: RaySet, universe: StringUniverse, candidates: RaySet) -> RaySet:

@@ -572,8 +572,12 @@ class ParseResult:
         return self.spec is not None and not self.diagnostics
 
 
-def parse_spec(text: str) -> ParseResult:
-    """Parse and validate a source text; never raises."""
+def parse_spec(text: str, eps: Optional[float] = None,
+               null_threshold: Optional[float] = None) -> ParseResult:
+    """Parse and validate a source text; never raises.  An eps or null
+    threshold given here takes precedence over the file's tolerance block,
+    which takes precedence over the default; the whole file is resolved at
+    the one tolerance that results."""
     try:
         tokens = _lex(text)
         decls = _Parser(tokens).parse_spec()
@@ -582,23 +586,25 @@ def parse_spec(text: str) -> ParseResult:
     except RecursionError:
         return ParseResult(None, [Diagnostic(1, 1, "input too deeply nested")])
     diagnostics: list[Diagnostic] = []
-    spec = _resolve(decls, diagnostics)
+    spec = _resolve(decls, diagnostics, eps, null_threshold)
     if diagnostics:
         return ParseResult(None, diagnostics)
     return ParseResult(spec, [])
 
 
-def _resolve(decls: list, diagnostics: list[Diagnostic]) -> Optional[SystemSpec]:
-    eps = null = None
+def _resolve(decls: list, diagnostics: list[Diagnostic], eps: Optional[float],
+             null: Optional[float]) -> Optional[SystemSpec]:
+    file_eps = file_null = None
     for d in decls:
         if isinstance(d, ToleranceDecl):
-            eps = d.eps if d.eps is not None else eps
-            null = d.null if d.null is not None else null
+            file_eps = d.eps if d.eps is not None else file_eps
+            file_null = d.null if d.null is not None else file_null
     try:
-        tolerance = TolerancePolicy(eps if eps is not None else DEFAULT_TOL.eps,
-                                    null if null is not None else DEFAULT_TOL.null_threshold)
+        tolerance = TolerancePolicy(
+            next(x for x in (eps, file_eps, DEFAULT_TOL.eps) if x is not None),
+            next(x for x in (null, file_null, DEFAULT_TOL.null_threshold) if x is not None))
     except MonoidToposError as exc:
-        loc = next(d.loc for d in decls if isinstance(d, ToleranceDecl))
+        loc = next((d.loc for d in decls if isinstance(d, ToleranceDecl)), Diagnostic(1, 1, ""))
         diagnostics.append(Diagnostic(loc.line, loc.col, str(exc)))
         return None
 

@@ -285,3 +285,109 @@ def test_cli_truth_rejects_subset_entries_that_are_not_integers(flag):
     payload = json.loads(out)
     assert payload["status"] == "error"
     assert "'{1.5}' has an entry that is not a point index" in payload["diagnostics"][0]["message"]
+
+
+# A second quantum system of dimension 3 beside the fixture's qubit Q.
+QUTRIT_SYSTEM = """
+quantum R {
+  dim 3;
+  values {1,-1};
+  operator B { matrix [[1,0,0],[0,-1,0],[0,0,1]]; }
+  projector P0 { matrix [[1,0,0],[0,0,0],[0,0,0]]; }
+  state f1 [1,0,0];
+  state f2 [0,1,0];
+}
+rayset X3 { system R; rays (f1,f2); }
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    ["polar", "--universe", "U", "--rayset", "X3"],
+    ["polar", "--universe", "U", "--strings", "(Pz)", "--candidates", "X3"],
+    ["closure", "--universe", "U", "--rayset", "X3", "--candidates", "X3"],
+])
+def test_cli_ray_set_of_another_dimension_is_a_context_error(tmp_path, argv):
+    path = fixture_with(tmp_path, QUTRIT_SYSTEM)
+    code, out = run_cli([argv[0], path] + argv[1:])
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["status"] == "error"
+    assert payload["diagnostics"][0]["message"] == (
+        "ray set has dimension 3, but the universe's strings act on dimension 2")
+
+
+@pytest.mark.parametrize("flag", ["--tol", "--null-threshold"])
+@pytest.mark.parametrize("value", ["0", "-1e-9"])
+def test_cli_invalid_tolerance_flag_is_an_error_report(capsys, flag, value):
+    code, out = run_cli(RUNS["valuate_quantum"] + [f"{flag}={value}"])
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["status"] == "error"
+    assert payload["diagnostics"][0]["message"] == "tolerances must be positive"
+    assert capsys.readouterr().err == ""
+
+
+def test_cli_invalid_tolerance_flag_in_selftest_is_an_error_report(capsys):
+    code, out = run_cli(["selftest", "--tol", "0"])
+    assert code == 1
+    assert json.loads(out)["status"] == "error"
+    assert capsys.readouterr().err == ""
+
+
+# Two states whose normalised overlap is about 1 - 5e-5: the same ray at
+# eps 1e-3, different rays at the default eps.  Both reduce to the same ray
+# after Pplus, so the sieve of their equality at (Pz,Pplus) holds on the
+# tails of length 1 and 2 at either eps, and on the empty tail only at 1e-3.
+NEAR_STATES = """
+quantum N {
+  dim 2;
+  values {1,-1};
+  operator A { matrix [[1,0],[0,-1]]; }
+  projector Pz { matrix [[1,0],[0,0]]; }
+  projector Pplus { matrix [[0.5,0.5],[0.5,0.5]]; }
+  state a [1,0];
+  state b [1,0.01];
+}
+"""
+NEAR_EQUAL = ["--system", "N", "--state1", "a", "--state2", "b",
+              "--mode", "sieve", "--context", "(Pz,Pplus)"]
+
+
+def _near_equal_report(tmp_path, block: str, *flags) -> dict:
+    path = tmp_path / "near.mtd"
+    path.write_text(block + NEAR_STATES, encoding="utf-8")
+    code, out = run_cli(["equal", str(path)] + NEAR_EQUAL + list(flags))
+    assert code == 0
+    return json.loads(out)
+
+
+def test_cli_runs_at_the_file_tolerance(tmp_path):
+    from_file = _near_equal_report(tmp_path, "tolerance { eps 1e-3; }")
+    from_flag = _near_equal_report(tmp_path, "", "--tol", "1e-3")
+    assert from_file == from_flag
+    assert from_file["result"]["sieve"]["includedTailLengths"] == [0, 1, 2]
+    assert from_file["tolerance"] == {"eps": 1e-3, "null_threshold": 1e-9}
+    assert from_file["arguments"]["tol"] == 1e-3
+    default = _near_equal_report(tmp_path, "")
+    assert default["result"]["sieve"]["includedTailLengths"] == [1, 2]
+    assert default["tolerance"] == {"eps": 1e-9, "null_threshold": 1e-9}
+
+
+def test_cli_tolerance_flag_takes_precedence_over_the_file(tmp_path):
+    report = _near_equal_report(tmp_path, "tolerance { eps 1e-3; null 1e-6; }",
+                                "--tol", "1e-9")
+    assert report["result"]["sieve"]["includedTailLengths"] == [1, 2]
+    # the field the flag leaves alone still comes from the file
+    assert report["tolerance"] == {"eps": 1e-9, "null_threshold": 1e-6}
+    report = _near_equal_report(tmp_path, "tolerance { eps 1e-3; null 1e-6; }",
+                                "--null-threshold", "1e-8")
+    assert report["tolerance"] == {"eps": 1e-3, "null_threshold": 1e-8}
+
+
+def test_cli_query_entry_cannot_change_the_tolerance(tmp_path):
+    path = fixture_with(tmp_path, "query loose { run parse; tol 1e-3; }")
+    code, out = run_cli(["query", path, "loose"])
+    assert code == 1
+    assert json.loads(out)["diagnostics"][0]["message"] == (
+        "query 'loose' sets a tolerance; set it in the file's tolerance block "
+        "or on the command line")

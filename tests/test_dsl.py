@@ -132,3 +132,20 @@ def test_values_inferred_when_omitted():
     result = parse_spec(src)
     assert result.ok
     assert result.spec.quantum["Q"].system.values == (-1.0, 1.0)
+
+
+def test_tolerance_given_to_the_parser_takes_precedence_over_the_file():
+    src = "tolerance { eps 1e-3; null 1e-6; }\nmonoid M { elements 1; table [[0]]; }"
+    spec = parse_spec(src).spec
+    assert (spec.tolerance.eps, spec.tolerance.null_threshold) == (1e-3, 1e-6)
+    spec = parse_spec(src, eps=1e-9).spec
+    assert (spec.tolerance.eps, spec.tolerance.null_threshold) == (1e-9, 1e-6)
+    spec = parse_spec("monoid M { elements 1; table [[0]]; }", null_threshold=1e-5).spec
+    assert (spec.tolerance.eps, spec.tolerance.null_threshold) == (1e-9, 1e-5)
+
+
+def test_invalid_tolerance_given_to_the_parser_is_a_diagnostic():
+    result = parse_spec("monoid M { elements 1; table [[0]]; }", eps=0.0)
+    assert result.spec is None
+    assert [(d.line, d.col, d.message) for d in result.diagnostics] == [
+        (1, 1, "tolerances must be positive")]

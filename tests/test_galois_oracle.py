@@ -1,0 +1,296 @@
+"""The batched Galois connection against the per-pair reference oracle.
+
+The oracle is the loop that ``context.py`` replaced: it decides "string q
+does not annihilate ray psi" one (string, ray) pair at a time, with one
+mat-vec and one norm, and ray-set membership one ``ray_equal`` call at a
+time.  On seeded qubit, qutrit and dimension-4 alphabets the batched
+polars, closures, ``is_full`` and ray-set operations must give exactly the
+oracle's answers, also for rays placed just either side of the null
+threshold (and exactly on it), and for pairs of rays whose overlap lies
+just either side of 1 - eps (and exactly on it).
+"""
+
+import numpy as np
+import pytest
+
+from monoidtopos.context import (RaySet, StringUniverse, closure_rays, is_full,
+                                 polar_of_rays, polar_of_strings)
+from monoidtopos.corpus import random_projector, random_state
+from monoidtopos.errors import StructureError, UsageError, ValidationError
+from monoidtopos.linalg import DEFAULT_TOL, Ray, TolerancePolicy, ray_equal
+from monoidtopos.reduction import ProjectorAlphabet
+from tests.conftest import PPLUS, PZ
+
+# The default policy, and one whose null threshold differs from its eps.
+POLICIES = [DEFAULT_TOL, TolerancePolicy(eps=1e-9, null_threshold=1e-6)]
+
+
+# ---------------------------------------------------------------------------
+# Oracles: the per-pair bodies
+
+
+def annihilates(alphabet, q, ray) -> bool:
+    image = alphabet.reduce(q) @ ray.representative
+    return float(np.linalg.norm(image)) <= alphabet.tol.null_threshold
+
+
+def oracle_polar_of_rays(xi, universe):
+    alphabet = universe.alphabet
+    return tuple(q for q in universe.members
+                 if all(not annihilates(alphabet, q, ray) for ray in xi))
+
+
+def oracle_polar_of_strings(universe, strings, candidates):
+    subset = universe.check_subset(strings)
+    alphabet = universe.alphabet
+    return tuple(ray for ray in candidates.rays
+                 if all(not annihilates(alphabet, q, ray) for q in subset))
+
+
+def oracle_index_of(rays, ray, tol):
+    return next((i for i, r in enumerate(rays) if r.same_ray(ray, tol)), None)
+
+
+def oracle_is_subset(rays, others, tol) -> bool:
+    return all(oracle_index_of(others, r, tol) is not None for r in rays)
+
+
+def oracle_has_duplicate(rays, tol) -> bool:
+    return any(rays[i].same_ray(rays[j], tol)
+               for j in range(len(rays)) for i in range(j))
+
+
+def oracle_closure_rays(xi, universe, candidates):
+    if not oracle_is_subset(xi.rays, candidates.rays, candidates.tol):
+        raise UsageError("ray set must lie inside the candidate universe")
+    return oracle_polar_of_strings(universe, oracle_polar_of_rays(xi, universe), candidates)
+
+
+def oracle_is_full(xi, universe, candidates) -> bool:
+    closed = oracle_closure_rays(xi, universe, candidates)
+    return len(closed) == len(xi) and oracle_is_subset(xi.rays, closed, xi.tol)
+
+
+# ---------------------------------------------------------------------------
+# Seeded alphabets and rays near the null threshold
+
+
+def make_alphabet(rng, dim, tol):
+    letters = {f"P{i}": random_projector(rng, dim) for i in range(3)}
+    if dim == 2:
+        letters["P0"] = PZ
+        letters["P1"] = PPLUS
+    return ProjectorAlphabet(letters, tol)
+
+
+def near_threshold_vector(alphabet, q, rng, side: int) -> np.ndarray:
+    """A unit vector that the string's reduction sends to a norm of
+    null_threshold * (1 + side * 1e-6): a kernel vector tilted towards the
+    top right singular vector."""
+    _, sigma, vh = np.linalg.svd(alphabet.reduce(q))
+    kernel = vh[sigma <= 1e-12].conj().T
+    k = kernel @ random_state(rng, kernel.shape[1])
+    top = vh[0].conj()
+    sin = alphabet.tol.null_threshold * (1 + side * 1e-6) / sigma[0]
+    return np.sqrt(1 - sin ** 2) * k + sin * top
+
+
+def tie_vector(tol) -> np.ndarray:
+    """A vector whose ray P_z sends to a norm of exactly the null threshold."""
+    t = tol.null_threshold
+    x = t * np.sqrt(1 + t * t)
+    for _ in range(400):
+        v = np.array([x, 1.0], dtype=complex)
+        rep = Ray(v, tol).representative
+        if float(np.linalg.norm(PZ @ rep)) == t:
+            return v
+        x = np.nextafter(x, 2 * t if abs(rep[0]) < t else 0.0)
+    raise AssertionError("no vector found at the threshold")
+
+
+def candidate_vectors(alphabet, universe, rng):
+    """Basis and random states, a ray on the threshold of P_z for the qubit,
+    and rays just either side of the threshold for strings with a kernel;
+    a vector that would duplicate an earlier ray is left out."""
+    dim, tol = alphabet.dim, alphabet.tol
+    vectors = ([tie_vector(tol)] if dim == 2 else []) + list(np.eye(dim))
+    near = []
+    kernel_strings = [q for q in universe.members
+                      if np.linalg.svd(alphabet.reduce(q), compute_uv=False)[-1] <= 1e-12]
+    for n, q in enumerate(kernel_strings[:12]):
+        side = 1 if n % 2 else -1
+        near.append((q, side, Ray(near_threshold_vector(alphabet, q, rng, side), tol)))
+    rays = [Ray(v, tol) for v in vectors] + [ray for _, _, ray in near]
+    rays += [Ray(random_state(rng, dim), tol) for _ in range(6)]
+    kept = []
+    for ray in rays:
+        if not any(ray.same_ray(r, tol) for r in kept):
+            kept.append(ray)
+    return kept, near
+
+
+CASES = [(dim, policy) for dim in (2, 3, 4) for policy in range(len(POLICIES))]
+
+
+@pytest.mark.parametrize("dim,policy", CASES)
+def test_batched_galois_connection_matches_the_per_pair_oracle(dim, policy):
+    tol = POLICIES[policy]
+    rng = np.random.default_rng(4100 + 10 * dim + policy)
+    alphabet = make_alphabet(rng, dim, tol)
+    universe = StringUniverse(alphabet, 3 if dim < 4 else 2)
+    rays, near = candidate_vectors(alphabet, universe, rng)
+    candidates = RaySet(rays, tol)
+    members = list(universe.members)
+
+    # The constructed rays straddle the threshold as intended, and
+    # candidates on both sides of it survive the duplicate filter.
+    assert all(annihilates(alphabet, q, ray) == (side < 0) for q, side, ray in near)
+    assert {side for _, side, ray in near if ray in rays} == {-1, 1}
+    if dim == 2:
+        tie = Ray(tie_vector(tol), tol)
+        assert annihilates(alphabet, ("P0",), tie)
+        assert ("P0",) not in polar_of_rays(RaySet([tie], tol), universe)
+
+    for _ in range(25):
+        xi = candidates.subset(int(i) for i in
+                               rng.choice(len(candidates), size=int(rng.integers(0, 5)),
+                                          replace=False))
+        j = [q for q in members if rng.random() < 0.3]
+        assert polar_of_rays(xi, universe) == oracle_polar_of_rays(xi, universe)
+        r1 = polar_of_strings(universe, j, candidates)
+        assert r1.rays == oracle_polar_of_strings(universe, j, candidates)
+        for rs in (xi, r1):
+            assert closure_rays(rs, universe, candidates).rays == oracle_closure_rays(
+                rs, universe, candidates)
+            assert is_full(rs, universe, candidates) == oracle_is_full(rs, universe, candidates)
+    # Each near-threshold ray on its own, against its string and the rest.
+    for q, _, ray in near:
+        xi = RaySet([ray], tol)
+        assert polar_of_rays(xi, universe) == oracle_polar_of_rays(xi, universe)
+        assert (polar_of_strings(universe, [q], candidates).rays
+                == oracle_polar_of_strings(universe, [q], candidates))
+
+
+def test_closure_outside_the_candidates_is_rejected_like_the_oracle():
+    tol = DEFAULT_TOL
+    alphabet = make_alphabet(np.random.default_rng(7), 2, tol)
+    universe = StringUniverse(alphabet, 2)
+    candidates = RaySet([[1, 0], [0, 1]], tol)
+    outside = RaySet([[1, 1]], tol)
+    with pytest.raises(UsageError):
+        oracle_closure_rays(outside, universe, candidates)
+    with pytest.raises(UsageError):
+        closure_rays(outside, universe, candidates)
+
+
+# ---------------------------------------------------------------------------
+# Ray sets: membership and the duplicate check
+
+
+def tilted(rng, base: np.ndarray, overlap: float) -> np.ndarray:
+    """A unit vector whose overlap with the unit vector ``base`` has
+    modulus ``overlap``, with a random phase."""
+    g = random_state(rng, base.shape[0])
+    perp = g - base * np.vdot(base, g)
+    perp /= np.linalg.norm(perp)
+    phase = np.exp(2j * np.pi * rng.random())
+    return phase * (overlap * base + np.sqrt(1 - overlap ** 2) * perp)
+
+
+def overlap_tie(tol):
+    """Two vectors whose normalised overlap is exactly 1 - eps."""
+    c = 1.0 - tol.eps
+    s = np.sqrt(1 - c * c)
+    for _ in range(400):
+        b = np.array([c, s], dtype=complex)
+        norm = float(np.linalg.norm(b))
+        if norm == 1.0 and np.linalg.norm(b[:, None], axis=0)[0] == 1.0:
+            return np.array([1.0, 0.0], dtype=complex), b
+        s = np.nextafter(s, 0.0 if norm > 1.0 else 1.0)
+    raise AssertionError("no overlap found at 1 - eps")
+
+
+@pytest.mark.parametrize("eps", [1e-9, 1e-3])
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_ray_set_membership_matches_ray_equal(dim, eps):
+    tol = TolerancePolicy(eps=eps)
+    rng = np.random.default_rng(4200 + dim + int(eps < 1e-6))
+    margin = 1e-3 if eps < 1e-6 else 1e-6
+    bases = [random_state(rng, dim) for _ in range(5)]
+    members = [Ray(b, tol) for b in bases]
+    queries = [Ray(b, tol) for b in bases]
+    for b in bases:
+        for side in (-1, 1):
+            queries.append(Ray(tilted(rng, b, 1 - eps * (1 + side * margin)), tol))
+    queries += [Ray(random_state(rng, dim), tol) for _ in range(5)]
+    if dim == 2:
+        a, b = overlap_tie(tol)
+        assert ray_equal(a, b, tol)
+        members.append(Ray(a, tol))
+        queries.append(Ray(b, tol))
+    ray_set = RaySet(members, tol)
+    hits = 0
+    for query in queries:
+        expected = oracle_index_of(members, query, tol)
+        assert ray_set.contains(query) == (expected is not None)
+        if expected is None:
+            with pytest.raises(UsageError):
+                ray_set.index_of(query)
+        else:
+            hits += 1
+            assert ray_set.index_of(query) == expected
+            assert ray_set.index_of(query.representative) == expected
+    assert 0 < hits < len(queries)
+    for _ in range(20):
+        picked = [q for q in queries if rng.random() < 0.3]
+        sub = RaySet([], tol)
+        sub.rays = tuple(picked)
+        assert sub.is_subset_of(ray_set) == oracle_is_subset(picked, members, tol)
+        assert ray_set.is_subset_of(sub) == oracle_is_subset(members, picked, tol)
+
+
+def test_index_of_returns_the_first_match():
+    tol = TolerancePolicy(eps=1e-3)
+    # a and b are distinct rays at eps 1e-3; the query, halfway between
+    # them, is within eps of both.
+    angle = 1.5 * np.sqrt(2 * tol.eps)
+    a, b, query = (np.array([np.cos(x), np.sin(x), 0.0]) for x in (0.0, angle, angle / 2))
+    for members in ([a, b], [b, a]):
+        ray_set = RaySet(members, tol)
+        assert all(r.same_ray(Ray(query, tol), tol) for r in ray_set)
+        assert ray_set.index_of(query) == 0 == oracle_index_of(ray_set.rays, Ray(query, tol), tol)
+
+
+@pytest.mark.parametrize("eps", [1e-9, 1e-3])
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_duplicate_check_matches_ray_equal(dim, eps):
+    tol = TolerancePolicy(eps=eps)
+    rng = np.random.default_rng(4400 + dim + int(eps < 1e-6))
+    margin = 1e-3 if eps < 1e-6 else 1e-6
+    outcomes = set()
+    for _ in range(30):
+        vectors = [random_state(rng, dim) for _ in range(int(rng.integers(1, 5)))]
+        base = vectors[int(rng.integers(0, len(vectors)))]
+        side = int(rng.choice([-1, 1]))
+        vectors.insert(int(rng.integers(0, len(vectors) + 1)),
+                       tilted(rng, base, 1 - eps * (1 + side * margin)))
+        rays = [Ray(v, tol) for v in vectors]
+        duplicate = oracle_has_duplicate(rays, tol)
+        outcomes.add(duplicate)
+        if duplicate:
+            with pytest.raises(ValidationError):
+                RaySet(vectors, tol)
+        else:
+            assert len(RaySet(vectors, tol)) == len(vectors)
+    assert outcomes == {True, False}
+    if dim == 2:
+        a, b = overlap_tie(tol)
+        with pytest.raises(ValidationError):
+            RaySet([a, b], tol)
+
+
+def test_ray_sets_of_different_dimensions_are_a_structure_error():
+    with pytest.raises(StructureError):
+        RaySet([[1, 0], [0, 1, 0]])
+    with pytest.raises(StructureError):
+        RaySet([[1, 0]]).contains([1, 0, 0])
