@@ -13,6 +13,7 @@ supplies the quantum kind.
 from __future__ import annotations
 
 import itertools
+import math
 from typing import Iterable, Iterator, Sequence
 
 from .errors import MissingNameError, UsageError, ValidationError
@@ -37,6 +38,8 @@ class ValueSetSystem:
         self.values = tuple(float(v) for v in values)
         if len(set(self.values)) != len(self.values):
             raise ValidationError("value set entries must be distinct")
+        if not all(math.isfinite(v) for v in self.values):
+            raise ValidationError("value set entries must be finite")
         self._vindex = {v: i for i, v in enumerate(self.values)}
         self._monoid: FiniteMonoid | None = None
 

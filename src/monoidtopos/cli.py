@@ -24,8 +24,9 @@ from .classical import (E_s_valuation, classical_truth,
                         generalized_classical_valuation)
 from .context import (RaySet, closure_rays, context_truth_equal, is_full, polar_of_rays,
                       polar_of_strings, sieve_truth_equal, sieve_valuation)
-from .dsl import ParseResult, SystemSpec, _lex, _Parser, parse_spec, pretty_print
-from .errors import MonoidToposError
+from .dsl import (ParseResult, SystemSpec, parse_name_group, parse_spec, parse_value_set,
+                  pretty_print)
+from .errors import ContextError, MonoidToposError
 from .linalg import DEFAULT_TOL, TolerancePolicy
 from .monoid import enumerate_left_ideals, heyting_report
 from .mset import truth_equal, truth_in_invariant, truth_in_subset, truth_subset_leq
@@ -79,20 +80,6 @@ class CliError(MonoidToposError):
     pass
 
 
-def _parse_value_set(text: str) -> list[float]:
-    parser = _Parser(_lex(text.strip()))
-    values = list(parser.number_set())
-    parser.expect("EOF", "end of input")
-    return values
-
-
-def _parse_name_group(text: str) -> tuple[str, ...]:
-    parser = _Parser(_lex(text.strip()))
-    names = parser.name_group()
-    parser.expect("EOF", "end of input")
-    return names
-
-
 def _load_spec(path: str, eps: Optional[float],
                null_threshold: Optional[float]) -> tuple[Optional[SystemSpec], list]:
     try:
@@ -122,6 +109,23 @@ def _need(args, mode: str, *flags: str) -> None:
 
 def _quantum(spec: SystemSpec, name: str):
     return spec.lookup(spec.quantum, name, "quantum system")
+
+
+def _rayset_over(spec: SystemSpec, name: str, system: str, where: str) -> RaySet:
+    """The ray set ``name``, checked to be declared over ``system``, named
+    by ``where``.  A non-empty ray set of another dimension is left to the
+    context functions, whose error names both dimensions."""
+    owner, rays = spec.rayset(name)
+    if owner != system and not (len(rays) and rays.dim != _quantum(spec, system).system.dim):
+        raise ContextError(f"ray set {name!r} is over system {owner!r}, "
+                           f"but {where} is {system!r}")
+    return rays
+
+
+def _universe_rays(spec: SystemSpec, universe: str, name: str) -> RaySet:
+    """The ray set ``name``, checked to be declared over the universe's system."""
+    system = spec.lookup(spec.universes, universe, "universe").system
+    return _rayset_over(spec, name, system, f"the system of universe {universe!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -163,7 +167,7 @@ def cmd_truth(spec: SystemSpec, args) -> tuple[dict, None]:
     mset = spec.lookup(spec.msets, args.mset, "mset")
 
     def int_set(text):
-        values = _parse_value_set(text)
+        values = parse_value_set(text)
         if not all(v.is_integer() for v in values):
             raise CliError(f"subset {text!r} has an entry that is not a point index")
         return frozenset(int(v) for v in values)
@@ -183,7 +187,7 @@ def cmd_truth(spec: SystemSpec, args) -> tuple[dict, None]:
 
 def cmd_valuate_classical(spec: SystemSpec, args) -> tuple[dict, None]:
     system = spec.lookup(spec.classical, args.system, "classical system")
-    delta = _parse_value_set(args.range)
+    delta = parse_value_set(args.range)
     plain = classical_truth(system, args.state, args.quantity, delta)
     ideal = generalized_classical_valuation(system, args.state, args.quantity, delta)
     result = {"either_or": plain, "ideal": ideal_payload(ideal)}
@@ -196,7 +200,7 @@ def cmd_valuate_classical(spec: SystemSpec, args) -> tuple[dict, None]:
 
 def cmd_valuate_quantum(spec: SystemSpec, args) -> tuple[dict, None]:
     rq = _quantum(spec, args.system)
-    delta = _parse_value_set(args.range)
+    delta = parse_value_set(args.range)
     psi = rq.state(args.state)
     ideal = quantum_function_valuation(rq.system, psi, args.op, delta)
     result = {"ideal": ideal_payload(ideal)}
@@ -209,7 +213,7 @@ def cmd_valuate_quantum(spec: SystemSpec, args) -> tuple[dict, None]:
 
 def _letters_or_default(spec: SystemSpec, args) -> tuple[str, ...]:
     if args.alphabet:
-        return _parse_name_group(args.alphabet)
+        return parse_name_group(args.alphabet)
     rq = _quantum(spec, args.system)
     if not rq.projectors:
         raise CliError(f"system {args.system!r} declares no projectors")
@@ -218,7 +222,7 @@ def _letters_or_default(spec: SystemSpec, args) -> tuple[str, ...]:
 
 def cmd_valuate(spec: SystemSpec, args) -> tuple[dict, dict]:
     rq = _quantum(spec, args.system)
-    delta = _parse_value_set(args.range)
+    delta = parse_value_set(args.range)
     rq.system.range_indices(delta)
     letters = _letters_or_default(spec, args)
     alphabet = spec.alphabet_for(args.system, letters)
@@ -251,13 +255,14 @@ def cmd_equal(spec: SystemSpec, args) -> tuple[dict, Optional[dict]]:
     if args.mode == "context":
         _need(args, "equal --mode context", "universe", "rayset")
         universe = spec.universe(args.universe)
-        _, xi = spec.rayset(args.rayset)
+        _rayset_over(spec, args.rayset, args.system, "--system")
+        xi = _universe_rays(spec, args.universe, args.rayset)
         accepted = context_truth_equal(psi, phi, xi, universe)
         return ({"strings": strings_payload(accepted)},
                 _universe_payload(spec, args.universe))
     if args.mode == "sieve":
         _need(args, "equal --mode sieve", "context")
-        context = _parse_name_group(args.context)
+        context = parse_name_group(args.context)
         alphabet = spec.alphabet_for(args.system, tuple(dict.fromkeys(context)))
         sieve = sieve_truth_equal(alphabet, psi, phi, context)
         return {"sieve": sieve.to_payload()}, None
@@ -272,13 +277,13 @@ def _universe_payload(spec: SystemSpec, name: str) -> dict:
 def cmd_polar(spec: SystemSpec, args) -> tuple[dict, dict]:
     universe = spec.universe(args.universe)
     if args.rayset and not args.strings:
-        _, xi = spec.rayset(args.rayset)
+        xi = _universe_rays(spec, args.universe, args.rayset)
         strings = polar_of_rays(xi, universe)
         return {"strings": strings_payload(strings)}, _universe_payload(spec, args.universe)
     if args.strings:
         _need(args, "polar --strings", "candidates")
-        subset = [tuple(_parse_name_group(part)) for part in args.strings.split(";") if part.strip()]
-        _, candidates = spec.rayset(args.candidates)
+        subset = [tuple(parse_name_group(part)) for part in args.strings.split(";") if part.strip()]
+        candidates = _universe_rays(spec, args.universe, args.candidates)
         rays = polar_of_strings(universe, subset, candidates)
         return ({"rays": rayset_payload(rays), "candidates": args.candidates},
                 _universe_payload(spec, args.universe))
@@ -287,8 +292,8 @@ def cmd_polar(spec: SystemSpec, args) -> tuple[dict, dict]:
 
 def cmd_closure(spec: SystemSpec, args) -> tuple[dict, dict]:
     universe = spec.universe(args.universe)
-    _, xi = spec.rayset(args.rayset)
-    _, candidates = spec.rayset(args.candidates)
+    xi = _universe_rays(spec, args.universe, args.rayset)
+    candidates = _universe_rays(spec, args.universe, args.candidates)
     closed = closure_rays(xi, universe, candidates)
     return ({
         "closure": rayset_payload(closed),
@@ -298,7 +303,7 @@ def cmd_closure(spec: SystemSpec, args) -> tuple[dict, dict]:
 
 def cmd_sieve(spec: SystemSpec, args) -> tuple[dict, None]:
     rq = _quantum(spec, args.system)
-    context = _parse_name_group(args.context)
+    context = parse_name_group(args.context)
     alphabet = spec.alphabet_for(args.system, tuple(dict.fromkeys(context)))
     psi = rq.state(args.state)
     if args.state2:
@@ -306,7 +311,7 @@ def cmd_sieve(spec: SystemSpec, args) -> tuple[dict, None]:
     else:
         _need(args, "sieve without --state2", "op", "range")
         op = rq.system.operator(args.op)
-        delta = _parse_value_set(args.range)
+        delta = parse_value_set(args.range)
         rq.system.range_indices(delta)
         sieve = sieve_valuation(alphabet, psi, op, delta, context)
     return {"sieve": sieve.to_payload()}, None

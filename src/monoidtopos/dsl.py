@@ -18,23 +18,26 @@ The grammar is block-structured and line-friendly:
     universe U { system Q; alphabet (Pz,Pplus); depth 3; }
     query q1 { run valuate; system Q; state psi; op A; range {1}; mode ray; }
 
-Complex entries are written `a`, `a+bi`, or `a-bi`; matrices are row lists
-of comma-separated entries; sets use braces; name strings use parentheses
-with the leftmost name applied last.  '#' starts a comment.  Parsing never
+Numbers use ASCII digits, as in `2`, `-0.5` or `1e-9`.  Complex entries
+are written `a`, `a+bi`, or `a-bi`; matrices are row lists of
+comma-separated entries; sets use braces; name strings use parentheses with
+the leftmost name applied last.  '#' starts a comment.  Parsing never
 raises: the result carries either a validated SystemSpec or diagnostics
-with line/column positions.
+with line/column positions, also for a malformed number such as `1.2.3`.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .classical import ClassicalSystem
-from .errors import MonoidToposError
-from .linalg import DEFAULT_TOL, Projector, TolerancePolicy, as_matrix, as_vector
+from .errors import MissingNameError, MonoidToposError
+from .linalg import (DEFAULT_TOL, Projector, TolerancePolicy, as_matrix, as_vector,
+                     hermitian_eig)
 from .monoid import FiniteMonoid, verify_associativity
 from .mset import MSet
 from .quantum import QuantumSystem
@@ -64,13 +67,21 @@ class _DslError(MonoidToposError):
 # ---------------------------------------------------------------------------
 # Lexer
 
-_PUNCT = {"{": "LBRACE", "}": "RBRACE", "[": "LBRACKET", "]": "RBRACKET",
-          "(": "LPAREN", ")": "RPAREN", ",": "COMMA", ";": "SEMI",
-          "+": "PLUS", "-": "MINUS"}
+_PUNCT = {"LBRACE": "{", "RBRACE": "}", "LBRACKET": "[", "RBRACKET": "]",
+          "LPAREN": "(", "RPAREN": ")", "COMMA": ",", "SEMI": ";",
+          "PLUS": "+", "MINUS": "-"}
+
+# One named group per token kind, tried in order.  NUMBER takes any run of
+# ASCII digits and dots (the parser rejects '1.2.3'); NAME may start with a
+# word character that is not a letter, which the lexer then rejects.
+_TOKEN = re.compile("|".join(
+    [r"(?P<NUMBER>\.?[0-9][0-9.]*(?:[eE][+-]?[0-9]+)?)", r"(?P<NAME>[^\W\d]\w*)",
+     r"(?P<NEWLINE>\n)", r"(?P<SKIP>[ \t\r]+|#[^\n]*)"]
+    + [f"(?P<{kind}>{re.escape(ch)})" for kind, ch in _PUNCT.items()]
+    + [r"(?P<BAD>.)"]))
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str       # NAME | NUMBER | punctuation kind | EOF
     text: str
     line: int
@@ -79,54 +90,17 @@ class Token:
 
 def _lex(text: str) -> list[Token]:
     tokens = []
-    line, col, i = 1, 1, 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if ch in _PUNCT:
-            tokens.append(Token(_PUNCT[ch], ch, line, col))
-            i += 1
-            col += 1
-            continue
-        if ch.isdigit() or (ch == "." and i + 1 < n and text[i + 1].isdigit()):
-            start = i
-            while i < n and (text[i].isdigit() or text[i] == "."):
-                i += 1
-            if i < n and text[i] in "eE":
-                j = i + 1
-                if j < n and text[j] in "+-":
-                    j += 1
-                if j < n and text[j].isdigit():
-                    i = j
-                    while i < n and text[i].isdigit():
-                        i += 1
-            lexeme = text[start:i]
-            tokens.append(Token("NUMBER", lexeme, line, col))
-            col += i - start
-            continue
-        if ch.isalpha() or ch == "_":
-            start = i
-            while i < n and (text[i].isalnum() or text[i] == "_"):
-                i += 1
-            lexeme = text[start:i]
-            tokens.append(Token("NAME", lexeme, line, col))
-            col += i - start
-            continue
-        raise _DslError(line, col, f"unexpected character {ch!r}")
-    tokens.append(Token("EOF", "", line, col))
+    line, line_start = 1, 0
+    for m in _TOKEN.finditer(text):
+        kind, lexeme = m.lastgroup, m.group()
+        col = m.start() - line_start + 1
+        if kind == "NEWLINE":
+            line, line_start = line + 1, m.end()
+        elif kind == "BAD" or (kind == "NAME" and not (lexeme[0].isalpha() or lexeme[0] == "_")):
+            raise _DslError(line, col, f"unexpected character {lexeme[0]!r}")
+        elif kind != "SKIP":
+            tokens.append(Token(kind, lexeme, line, col))
+    tokens.append(Token("EOF", "", line, len(text) - line_start + 1))
     return tokens
 
 
@@ -220,6 +194,10 @@ class QueryDecl:
 
 
 class _Parser:
+    """Recursive descent over the token list.  Three rules carry the shapes
+    the grammar repeats: ``seq`` for comma lists in ``{}``, ``[]`` and ``()``,
+    ``header`` and ``close`` for ``keyword NAME { … }``, ``field`` for ``word value;``."""
+
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.pos = 0
@@ -233,33 +211,81 @@ class _Parser:
             self.pos += 1
         return tok
 
-    def error(self, message: str) -> _DslError:
-        tok = self.peek()
-        return _DslError(tok.line, tok.col, message)
-
     def expect(self, kind: str, what: str) -> Token:
         tok = self.peek()
         if tok.kind != kind:
-            raise self.error(f"expected {what}, found {tok.text or 'end of input'!r}")
+            raise _DslError(tok.line, tok.col,
+                            f"expected {what}, found {tok.text or 'end of input'!r}")
         return self.advance()
 
-    def expect_name(self, word: Optional[str] = None) -> Token:
-        tok = self.expect("NAME", word or "a name")
-        if word is not None and tok.text != word:
+    def name(self, what: str) -> str:
+        return self.expect("NAME", what).text
+
+    def keyword(self, word: str) -> Token:
+        tok = self.expect("NAME", word)
+        if tok.text != word:
             raise _DslError(tok.line, tok.col, f"expected {word!r}, found {tok.text!r}")
         return tok
+
+    # -- the shared rules --------------------------------------------------
+
+    def seq(self, opener: str, item) -> tuple:
+        """``opener item, … closer``, possibly empty; RBRACE closes LBRACE."""
+        closer = "R" + opener[1:]
+        self.expect(opener, repr(_PUNCT[opener]))
+        items = []
+        if self.peek().kind != closer:
+            items.append(item())
+            while self.peek().kind == "COMMA":
+                self.advance()
+                items.append(item())
+        self.expect(closer, repr(_PUNCT[closer]))
+        return tuple(items)
+
+    def header(self, keyword: str, what: Optional[str]) -> tuple[Diagnostic, Optional[str]]:
+        """``keyword NAME {`` (``keyword {`` if ``what`` is None): location and name."""
+        tok = self.keyword(keyword)
+        name = self.name(what) if what else None
+        self.expect("LBRACE", "'{'")
+        return Diagnostic(tok.line, tok.col, ""), name
+
+    def close(self) -> None:
+        self.expect("RBRACE", "'}'")
+
+    def field(self, word: str, value):
+        """``word value;``, giving the value."""
+        self.keyword(word)
+        result = value()
+        self.expect("SEMI", "';'")
+        return result
+
+    def entry(self, what: str, words, block: str) -> str:
+        """The keyword, one of ``words``, that starts the next entry of a block."""
+        tok = self.peek()
+        if tok.text not in words:
+            self.expect("NAME", what)
+            raise _DslError(tok.line, tok.col, f"unknown {block} {tok.text!r}")
+        return tok.text
+
+    # -- values ------------------------------------------------------------
+
+    def unsigned(self) -> float:
+        tok = self.expect("NUMBER", "a number")
+        try:
+            return float(tok.text)
+        except ValueError:
+            raise _DslError(tok.line, tok.col, f"malformed number {tok.text!r}") from None
 
     def number(self) -> float:
         sign = 1.0
         if self.peek().kind in ("PLUS", "MINUS"):
             sign = -1.0 if self.advance().kind == "MINUS" else 1.0
-        tok = self.expect("NUMBER", "a number")
-        return sign * float(tok.text)
+        return sign * self.unsigned()
 
     def integer(self, what: str) -> int:
         tok = self.peek()
         value = self.number()
-        if value != int(value):
+        if not value.is_integer():
             raise _DslError(tok.line, tok.col, f"{what} must be an integer")
         return int(value)
 
@@ -268,63 +294,26 @@ class _Parser:
         if self.peek().kind == "NAME" and self.peek().text == "i":
             self.advance()
             return complex(0.0, real)
-        if self.peek().kind in ("PLUS", "MINUS"):
-            sign = -1.0 if self.peek().kind == "MINUS" else 1.0
-            mark = self.pos
-            self.advance()
-            if self.peek().kind == "NUMBER":
-                imag = float(self.advance().text)
-                self.expect_name("i")
-                return complex(real, sign * imag)
-            self.pos = mark
+        mark = self.pos
+        if self.advance().kind in ("PLUS", "MINUS") and self.peek().kind == "NUMBER":
+            sign = -1.0 if self.tokens[mark].kind == "MINUS" else 1.0
+            imag = self.unsigned()
+            self.keyword("i")
+            return complex(real, sign * imag)
+        self.pos = mark
         return complex(real, 0.0)
 
     def number_set(self) -> tuple[float, ...]:
-        self.expect("LBRACE", "'{'")
-        values = []
-        if self.peek().kind != "RBRACE":
-            values.append(self.number())
-            while self.peek().kind == "COMMA":
-                self.advance()
-                values.append(self.number())
-        self.expect("RBRACE", "'}'")
-        return tuple(values)
+        return self.seq("LBRACE", self.number)
 
-    def name_group(self, opener="LPAREN", closer="RPAREN") -> tuple[str, ...]:
-        self.expect(opener, "'('")
-        names = []
-        if self.peek().kind != closer:
-            names.append(self.expect("NAME", "a name").text)
-            while self.peek().kind == "COMMA":
-                self.advance()
-                names.append(self.expect("NAME", "a name").text)
-        self.expect(closer, "')'")
-        return tuple(names)
+    def name_group(self) -> tuple[str, ...]:
+        return self.seq("LPAREN", lambda: self.name("a name"))
 
     def row(self, entry) -> tuple:
-        self.expect("LBRACKET", "'['")
-        entries = []
-        if self.peek().kind != "RBRACKET":
-            entries.append(entry())
-            while self.peek().kind == "COMMA":
-                self.advance()
-                entries.append(entry())
-        self.expect("RBRACKET", "']'")
-        return tuple(entries)
+        return self.seq("LBRACKET", entry)
 
     def matrix(self, entry) -> tuple[tuple, ...]:
-        self.expect("LBRACKET", "'['")
-        rows = []
-        if self.peek().kind != "RBRACKET":
-            rows.append(self.row(entry))
-            while self.peek().kind == "COMMA":
-                self.advance()
-                rows.append(self.row(entry))
-        self.expect("RBRACKET", "']'")
-        return tuple(rows)
-
-    def semi(self):
-        self.expect("SEMI", "';'")
+        return self.seq("LBRACKET", lambda: self.row(entry))
 
     # -- declarations ------------------------------------------------------
 
@@ -335,170 +324,117 @@ class _Parser:
         return decls
 
     def declaration(self):
+        """One declaration, parsed by the ``<keyword>_decl`` method."""
         tok = self.peek()
-        handlers = {
-            "tolerance": self.tolerance_decl,
-            "monoid": self.monoid_decl,
-            "mset": self.mset_decl,
-            "classical": self.classical_decl,
-            "quantum": self.quantum_decl,
-            "rayset": self.rayset_decl,
-            "universe": self.universe_decl,
-            "query": self.query_decl,
-        }
-        if tok.kind != "NAME" or tok.text not in handlers:
-            raise self.error(
-                f"expected a declaration keyword, found {tok.text or 'end of input'!r}")
-        return handlers[tok.text]()
-
-    def _loc(self, tok: Token) -> Diagnostic:
-        return Diagnostic(tok.line, tok.col, "")
+        rule = getattr(self, f"{tok.text}_decl", None) if tok.kind == "NAME" else None
+        if rule is None:
+            raise _DslError(tok.line, tok.col, "expected a declaration keyword, "
+                            f"found {tok.text or 'end of input'!r}")
+        return rule()
 
     def tolerance_decl(self):
-        tok = self.expect_name("tolerance")
-        self.expect("LBRACE", "'{'")
-        eps = null = None
+        loc, _ = self.header("tolerance", None)
+        given = {"eps": None, "null": None}
         while self.peek().kind != "RBRACE":
-            key = self.expect("NAME", "'eps' or 'null'")
-            if key.text == "eps":
-                eps = self.number()
-            elif key.text == "null":
-                null = self.number()
-            else:
-                raise _DslError(key.line, key.col, f"unknown tolerance field {key.text!r}")
-            self.semi()
-        self.expect("RBRACE", "'}'")
-        return ToleranceDecl(eps, null, self._loc(tok))
+            key = self.entry("'eps' or 'null'", given, "tolerance field")
+            given[key] = self.field(key, self.number)
+        self.close()
+        return ToleranceDecl(given["eps"], given["null"], loc)
 
     def monoid_decl(self):
-        tok = self.expect_name("monoid")
-        name = self.expect("NAME", "a monoid name").text
-        self.expect("LBRACE", "'{'")
-        self.expect_name("elements")
-        elements = self.integer("element count")
-        self.semi()
-        self.expect_name("table")
-        table = self.matrix(lambda: self.integer("table entry"))
-        self.semi()
-        self.expect("RBRACE", "'}'")
-        return MonoidDecl(name, elements, table, self._loc(tok))
+        loc, name = self.header("monoid", "a monoid name")
+        elements = self.field("elements", lambda: self.integer("element count"))
+        table = self.field("table", lambda: self.matrix(lambda: self.integer("table entry")))
+        self.close()
+        return MonoidDecl(name, elements, table, loc)
 
     def mset_decl(self):
-        tok = self.expect_name("mset")
-        name = self.expect("NAME", "an mset name").text
-        self.expect("LBRACE", "'{'")
-        self.expect_name("monoid")
-        monoid = self.expect("NAME", "a monoid name").text
-        self.semi()
-        self.expect_name("points")
-        points = self.integer("point count")
-        self.semi()
-        self.expect_name("action")
-        action = self.matrix(lambda: self.integer("action entry"))
-        self.semi()
-        self.expect("RBRACE", "'}'")
-        return MSetDecl(name, monoid, points, action, self._loc(tok))
+        loc, name = self.header("mset", "an mset name")
+        monoid = self.field("monoid", lambda: self.name("a monoid name"))
+        points = self.field("points", lambda: self.integer("point count"))
+        action = self.field("action", lambda: self.matrix(lambda: self.integer("action entry")))
+        self.close()
+        return MSetDecl(name, monoid, points, action, loc)
 
     def classical_decl(self):
-        tok = self.expect_name("classical")
-        name = self.expect("NAME", "a system name").text
-        self.expect("LBRACE", "'{'")
-        self.expect_name("values")
-        values = self.number_set()
-        self.semi()
-        self.expect_name("states")
-        states = self.name_group()
-        self.semi()
+        loc, name = self.header("classical", "a system name")
+        values = self.field("values", self.number_set)
+        states = self.field("states", self.name_group)
         quantities = []
         while self.peek().kind != "RBRACE":
-            self.expect_name("quantity")
-            qname = self.expect("NAME", "a quantity name").text
-            qvals = self.row(self.number)
-            self.semi()
-            quantities.append(QuantityDecl(qname, qvals))
-        self.expect("RBRACE", "'}'")
-        return ClassicalDecl(name, values, states, tuple(quantities), self._loc(tok))
+            quantities.append(self.field("quantity", lambda: QuantityDecl(
+                self.name("a quantity name"), self.row(self.number))))
+        self.close()
+        return ClassicalDecl(name, values, states, tuple(quantities), loc)
 
     def quantum_decl(self):
-        tok = self.expect_name("quantum")
-        name = self.expect("NAME", "a system name").text
-        self.expect("LBRACE", "'{'")
-        self.expect_name("dim")
-        dim = self.integer("dimension")
-        self.semi()
+        loc, name = self.header("quantum", "a system name")
+        dim = self.field("dim", lambda: self.integer("dimension"))
         values = None
         members = []
         while self.peek().kind != "RBRACE":
-            key = self.expect("NAME", "a member keyword")
-            if key.text == "values":
-                values = self.number_set()
-                self.semi()
-            elif key.text in ("operator", "projector"):
-                mname = self.expect("NAME", "a name").text
-                self.expect("LBRACE", "'{'")
-                self.expect_name("matrix")
-                matrix = self.matrix(self.complex_entry)
-                self.semi()
-                self.expect("RBRACE", "'}'")
-                members.append(MatrixMemberDecl(key.text, mname, matrix))
-            elif key.text == "state":
-                sname = self.expect("NAME", "a name").text
-                vector = self.row(self.complex_entry)
-                self.semi()
-                members.append(StateMemberDecl(sname, vector))
-            elif key.text == "density":
-                dname = self.expect("NAME", "a name").text
-                matrix = self.matrix(self.complex_entry)
-                self.semi()
-                members.append(MatrixMemberDecl("density", dname, matrix))
+            key = self.entry("a member keyword", ("values", "operator", "projector", "state",
+                                                  "density"), "quantum member")
+            if key == "values":
+                values = self.field("values", self.number_set)
+            elif key == "state":
+                members.append(self.field("state", lambda: StateMemberDecl(
+                    self.name("a name"), self.row(self.complex_entry))))
+            elif key == "density":
+                members.append(self.field("density", lambda: MatrixMemberDecl(
+                    "density", self.name("a name"), self.matrix(self.complex_entry))))
             else:
-                raise _DslError(key.line, key.col, f"unknown quantum member {key.text!r}")
-        self.expect("RBRACE", "'}'")
-        return QuantumDecl(name, dim, values, tuple(members), self._loc(tok))
+                _, mname = self.header(key, "a name")
+                members.append(MatrixMemberDecl(key, mname, self.field(
+                    "matrix", lambda: self.matrix(self.complex_entry))))
+                self.close()
+        self.close()
+        return QuantumDecl(name, dim, values, tuple(members), loc)
 
     def rayset_decl(self):
-        tok = self.expect_name("rayset")
-        name = self.expect("NAME", "a rayset name").text
-        self.expect("LBRACE", "'{'")
-        self.expect_name("system")
-        system = self.expect("NAME", "a system name").text
-        self.semi()
-        self.expect_name("rays")
-        rays = self.name_group()
-        self.semi()
-        self.expect("RBRACE", "'}'")
-        return RaySetDecl(name, system, rays, self._loc(tok))
+        loc, name = self.header("rayset", "a rayset name")
+        system = self.field("system", lambda: self.name("a system name"))
+        rays = self.field("rays", self.name_group)
+        self.close()
+        return RaySetDecl(name, system, rays, loc)
 
     def universe_decl(self):
-        tok = self.expect_name("universe")
-        name = self.expect("NAME", "a universe name").text
-        self.expect("LBRACE", "'{'")
-        self.expect_name("system")
-        system = self.expect("NAME", "a system name").text
-        self.semi()
-        self.expect_name("alphabet")
-        alphabet = self.name_group()
-        self.semi()
-        self.expect_name("depth")
-        depth = self.integer("depth")
-        self.semi()
-        self.expect("RBRACE", "'}'")
-        return UniverseDecl(name, system, alphabet, depth, self._loc(tok))
+        loc, name = self.header("universe", "a universe name")
+        system = self.field("system", lambda: self.name("a system name"))
+        alphabet = self.field("alphabet", self.name_group)
+        depth = self.field("depth", lambda: self.integer("depth"))
+        self.close()
+        return UniverseDecl(name, system, alphabet, depth, loc)
 
     def query_decl(self):
-        tok = self.expect_name("query")
-        name = self.expect("NAME", "a query name").text
-        self.expect("LBRACE", "'{'")
+        loc, name = self.header("query", "a query name")
         entries = []
         while self.peek().kind != "RBRACE":
-            key = self.expect("NAME", "a query key").text
+            key = self.name("a query key")
             parts = []
             while self.peek().kind not in ("SEMI", "EOF"):
                 parts.append(self.advance().text)
-            self.semi()
+            self.expect("SEMI", "';'")
             entries.append((key, "".join(parts)))
-        self.expect("RBRACE", "'}'")
-        return QueryDecl(name, tuple(entries), self._loc(tok))
+        self.close()
+        return QueryDecl(name, tuple(entries), loc)
+
+
+def _parse_whole(text: str, rule):
+    parser = _Parser(_lex(text.strip()))
+    value = rule(parser)
+    parser.expect("EOF", "end of input")
+    return value
+
+
+def parse_value_set(text: str) -> tuple[float, ...]:
+    """A ``{v, …}`` value set written outside a file, such as a CLI flag."""
+    return _parse_whole(text, _Parser.number_set)
+
+
+def parse_name_group(text: str) -> tuple[str, ...]:
+    """A ``(name, …)`` group written outside a file, such as a CLI flag."""
+    return _parse_whole(text, _Parser.name_group)
 
 
 # ---------------------------------------------------------------------------
@@ -513,8 +449,6 @@ class ResolvedQuantum:
     densities: dict[str, DensityMatrix]
 
     def state(self, name: str):
-        from .errors import MissingNameError
-
         if name in self.states:
             return self.states[name]
         raise MissingNameError(f"unknown state {name!r}")
@@ -536,8 +470,6 @@ class SystemSpec:
         self._alphabets: dict[tuple, ProjectorAlphabet] = {}
 
     def lookup(self, table: dict, name: str, what: str):
-        from .errors import MissingNameError
-
         if name not in table:
             raise MissingNameError(f"unknown {what} {name!r}")
         return table[name]
@@ -664,8 +596,6 @@ def _resolve(decls: list, diagnostics: list[Diagnostic], eps: Optional[float],
 
 
 def _infer_values(matrices: list, tol: TolerancePolicy) -> tuple[float, ...]:
-    from .linalg import hermitian_eig
-
     found: list[float] = []
     for matrix in matrices:
         op = hermitian_eig(matrix, tol)

@@ -28,6 +28,8 @@ class TolerancePolicy:
     def __post_init__(self):
         if not (self.eps > 0 and self.null_threshold > 0):
             raise ValidationError("tolerances must be positive")
+        if not np.isfinite([self.eps, self.null_threshold]).all():
+            raise ValidationError("tolerances must be finite")
 
 
 DEFAULT_TOL = TolerancePolicy()
@@ -35,7 +37,10 @@ DEFAULT_TOL = TolerancePolicy()
 
 def as_matrix(entries, dim: Optional[int] = None, max_dim: int = MAX_DIM) -> np.ndarray:
     """Validate and copy a square complex matrix."""
-    a = np.array(entries, dtype=complex)
+    try:
+        a = np.array(entries, dtype=complex)
+    except ValueError:
+        raise StructureError("expected a square matrix, got rows of different lengths") from None
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise StructureError(f"expected a square matrix, got shape {a.shape}")
     if dim is not None and a.shape[0] != dim:
@@ -255,7 +260,7 @@ def hermitian_eig(matrix, tol: TolerancePolicy = DEFAULT_TOL,
 
     op = HermitianOperator(a, eigenvalues, bases)
     recon = sum(lam * p for lam, p in op.spectrum)
-    if float(np.max(np.abs(recon - a))) > 10 * tol.eps * scale:
+    if not float(np.max(np.abs(recon - a))) <= 10 * tol.eps * scale:  # NaN fails too
         raise NumericError("spectral reconstruction failed tolerance")
     return op
 

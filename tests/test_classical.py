@@ -20,6 +20,8 @@ def test_construction_validates(two_valued):
         ClassicalSystem(["s"], [0.0], {"A": [5.0]})
     with pytest.raises(ValidationError):
         ClassicalSystem(["s", "s"], [0.0], {})
+    with pytest.raises(ValidationError, match="finite"):
+        ClassicalSystem(["s"], [0.0, float("inf")], {})
 
 
 def test_classical_truth(two_valued):

@@ -391,3 +391,75 @@ def test_cli_query_entry_cannot_change_the_tolerance(tmp_path):
     assert json.loads(out)["diagnostics"][0]["message"] == (
         "query 'loose' sets a tolerance; set it in the file's tolerance block "
         "or on the command line")
+
+
+@pytest.mark.parametrize("declaration,diagnostic", [
+    ("monoid Bad { elements 1.2.3; table [[0]]; }",
+     {"line": 22, "col": 23, "message": "malformed number '1.2.3'"}),
+    ("monoid Bad { elements 1e400; table [[0]]; }",
+     {"line": 22, "col": 23, "message": "element count must be an integer"}),
+    # reported at the file's first tolerance block
+    ("tolerance { null 1e400; }",
+     {"line": 2, "col": 1, "message": "tolerances must be finite"}),
+])
+def test_cli_parse_reports_numbers_it_cannot_use(tmp_path, capsys, declaration, diagnostic):
+    code, out = run_cli(["parse", fixture_with(tmp_path, declaration)])
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["status"] == "error"
+    assert payload["diagnostics"] == [diagnostic]
+    assert capsys.readouterr().err == ""
+
+
+# A second qubit system R beside the fixture's Q, with ray sets and a
+# universe of its own.
+SECOND_QUBIT = """
+quantum R {
+  dim 2;
+  values {1,-1};
+  projector Rx { matrix [[0.5,0.5],[0.5,0.5]]; }
+  state g1 [1,0];
+  state g2 [0,1];
+}
+rayset Y { system R; rays (g1,g2); }
+rayset Empty { system R; rays (); }
+universe W { system R; alphabet (Rx); depth 2; }
+"""
+
+EQUAL_CONTEXT = ["equal", "--system", "Q", "--state1", "e1", "--state2", "e2",
+                 "--mode", "context"]
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["polar", "--universe", "U", "--rayset", "Y"],
+     "ray set 'Y' is over system 'R', but the system of universe 'U' is 'Q'"),
+    (["polar", "--universe", "U", "--rayset", "Empty"],
+     "ray set 'Empty' is over system 'R', but the system of universe 'U' is 'Q'"),
+    (["polar", "--universe", "U", "--strings", "(Pz)", "--candidates", "Y"],
+     "ray set 'Y' is over system 'R', but the system of universe 'U' is 'Q'"),
+    (["closure", "--universe", "U", "--rayset", "Y", "--candidates", "V"],
+     "ray set 'Y' is over system 'R', but the system of universe 'U' is 'Q'"),
+    (["closure", "--universe", "U", "--rayset", "Xi", "--candidates", "Y"],
+     "ray set 'Y' is over system 'R', but the system of universe 'U' is 'Q'"),
+    (EQUAL_CONTEXT + ["--universe", "U", "--rayset", "Y"],
+     "ray set 'Y' is over system 'R', but --system is 'Q'"),
+    (EQUAL_CONTEXT + ["--universe", "W", "--rayset", "Xi"],
+     "ray set 'Xi' is over system 'Q', but the system of universe 'W' is 'R'"),
+])
+def test_cli_ray_set_of_another_system_is_a_context_error(tmp_path, argv, message):
+    path = fixture_with(tmp_path, SECOND_QUBIT)
+    code, out = run_cli([argv[0], path] + argv[1:])
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["status"] == "error"
+    assert payload["diagnostics"][0]["message"] == message
+
+
+def test_cli_ray_set_of_the_universe_system_is_accepted(tmp_path):
+    path = fixture_with(tmp_path, SECOND_QUBIT)
+    for argv in (["polar", path, "--universe", "W", "--rayset", "Y"],
+                 ["closure", path, "--universe", "W", "--rayset", "Y", "--candidates", "Y"],
+                 ["equal", path, "--system", "R", "--state1", "g1", "--state2", "g2",
+                  "--mode", "context", "--universe", "W", "--rayset", "Y"]):
+        code, out = run_cli(argv)
+        assert code == 0 and json.loads(out)["status"] == "ok"

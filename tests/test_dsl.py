@@ -3,7 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from monoidtopos.dsl import (Diagnostic, parse_spec, pretty_print, _lex, _Parser)
+from monoidtopos.dsl import (Diagnostic, parse_name_group, parse_spec, parse_value_set,
+                             pretty_print, _lex, _Parser)
+from monoidtopos.errors import MonoidToposError
 
 QUBIT_SRC = """
 # comments are skipped
@@ -149,3 +151,54 @@ def test_invalid_tolerance_given_to_the_parser_is_a_diagnostic():
     assert result.spec is None
     assert [(d.line, d.col, d.message) for d in result.diagnostics] == [
         (1, 1, "tolerances must be positive")]
+
+
+@pytest.mark.parametrize("src,expected", [
+    ("monoid M { elements 1.2.3; table [[0]]; }", (1, 21, "malformed number '1.2.3'")),
+    ("monoid M { elements 1..5; table [[0]]; }", (1, 21, "malformed number '1..5'")),
+    ("monoid M { elements -1.2.3; table [[0]]; }", (1, 22, "malformed number '1.2.3'")),
+    ("quantum Q { dim 2; state s [1+2.3.4i, 0]; }", (1, 31, "malformed number '2.3.4'")),
+    # Digits are ASCII: '²' passes str.isdigit but not float.
+    ("monoid M { elements ²; table [[0]]; }", (1, 21, "unexpected character '²'")),
+    ("monoid M { elements ٣; table [[0]]; }", (1, 21, "unexpected character '٣'")),
+    # 1e400 reads as inf, which is not an integer.
+    ("monoid M { elements 1e400; table [[0]]; }", (1, 21, "element count must be an integer")),
+    ("monoid M { elements 1; table [[1e400]]; }", (1, 32, "table entry must be an integer")),
+])
+def test_malformed_numbers_are_diagnostics(src, expected):
+    result = parse_spec(src)
+    assert result.spec is None
+    assert [(d.line, d.col, d.message) for d in result.diagnostics] == [expected]
+
+
+@pytest.mark.parametrize("src,message", [
+    ("quantum Q { dim 2; values {1e400}; operator A { matrix [[1,0],[0,-1]]; } }",
+     "value set entries must be finite"),
+    ("classical C { values {0,-1e400}; states (s); }", "value set entries must be finite"),
+    ("tolerance { eps 1e400; }", "tolerances must be finite"),
+    ("quantum Q { dim 2; operator A { matrix [[1,0],[0]]; } }",
+     "expected a square matrix, got rows of different lengths"),
+    ("quantum Q { dim 2; density r [[1,0],[0]]; }",
+     "expected a square matrix, got rows of different lengths"),
+])
+def test_values_the_program_cannot_use_are_diagnostics(src, message):
+    result = parse_spec(src)
+    assert result.spec is None
+    assert [(d.line, d.col, d.message) for d in result.diagnostics] == [(1, 1, message)]
+
+
+def test_end_of_input_after_a_comment_is_reported_at_the_end_column():
+    src = "monoid M { elements 1; table [[0]]; # x"
+    result = parse_spec(src)
+    assert [(d.line, d.col, d.message) for d in result.diagnostics] == [
+        (1, len(src) + 1, "expected '}', found 'end of input'")]
+
+
+def test_value_sets_and_name_groups_outside_a_file():
+    assert parse_value_set(" {1, -2.5} ") == (1.0, -2.5)
+    assert parse_value_set("{}") == ()
+    assert parse_name_group("(Pz,Pplus)") == ("Pz", "Pplus")
+    for text, parse in (("{1} x", parse_value_set), ("{1.2.3}", parse_value_set),
+                        ("(a,)", parse_name_group), ("(a) (b)", parse_name_group)):
+        with pytest.raises(MonoidToposError):
+            parse(text)

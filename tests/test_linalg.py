@@ -20,6 +20,8 @@ def test_tolerance_policy_positive():
         TolerancePolicy(eps=0.0)
     with pytest.raises(ValidationError):
         TolerancePolicy(null_threshold=-1.0)
+    with pytest.raises(ValidationError, match="finite"):
+        TolerancePolicy(eps=float("inf"))
 
 
 def test_as_matrix_validation():
@@ -29,6 +31,8 @@ def test_as_matrix_validation():
         as_matrix(np.eye(17))
     with pytest.raises(StructureError):
         as_matrix([[float("nan")]])
+    with pytest.raises(StructureError, match="rows of different lengths"):
+        as_matrix([[1, 0], [0]])
 
 
 def test_eig_diagonal():
@@ -269,6 +273,13 @@ def test_eig_snap_to_against_eigvalsh(targets, data):
     pushed[0] += 3 * DEFAULT_TOL.eps * max(1.0, abs(labels[0]))
     with pytest.raises(ValidationError):
         hermitian_eig(_with_spectrum(pushed, 1), snap_to=targets)
+
+
+def test_eig_reconstruction_check_fails_closed():
+    # An eigenvalue snapped to inf makes the reconstruction NaN, which is
+    # not within the bound.
+    with pytest.raises(NumericError, match="reconstruction"), np.errstate(invalid="ignore"):
+        hermitian_eig(SZ, snap_to=[float("inf"), -1.0])
 
 
 def _raise_linalg_error(*args, **kwargs):

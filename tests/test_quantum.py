@@ -19,6 +19,8 @@ def qubit():
 def test_system_validates_spectra():
     with pytest.raises(ValidationError):
         QuantumSystem(2, [1.0, -1.0], {"A": np.diag([0.5, -1.0])})
+    with pytest.raises(ValidationError, match="finite"):
+        QuantumSystem(2, [1.0, float("inf")], {"A": SZ})
 
 
 def test_membership_eigenvector(qubit):
