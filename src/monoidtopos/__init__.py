@@ -2,12 +2,12 @@
 and state reduction."""
 
 from .errors import (CapacityError, ContextError, DomainError, MissingNameError,
-                     MonoidToposError, NullReductionError, NumericError,
-                     PreconditionError, StructureError, UsageError, ValidationError)
+                     MonoidToposError, NumericError, PreconditionError, StructureError,
+                     UsageError, ValidationError)
 from .monoid import (FiniteMonoid, LeftIdeal, enumerate_left_ideals, heyting_implies,
                      heyting_not, heyting_report, ideal_action, map_monoid,
                      submonoid_closure, verify_associativity)
-from .strings import BoundedIdeal, ProjStringMonoid, bounded_ideal, string_concat
+from .strings import BoundedIdeal, ProjStringMonoid, bounded_ideal
 from .mset import (KFamily, MSet, characteristic_arrow, equivariant_maps_to_ideals,
                    family_from_subset, family_to_lambda, invariant_subsets,
                    is_invariant, lambda_to_family, left_regular, product_mset,
@@ -15,7 +15,6 @@ from .mset import (KFamily, MSet, characteristic_arrow, equivariant_maps_to_idea
                    truth_subset_leq)
 from .linalg import (DEFAULT_TOL, HermitianOperator, Projector, Ray, Subspace,
                      TolerancePolicy, ZERO_RAY, apply_function, hermitian_eig,
-                     image_subspace, in_subspace, operator_norm, ray_equal,
-                     spectral_projector)
+                     operator_norm, ray_equal, spectral_projector)
 
 __version__ = "0.1.0"

@@ -10,6 +10,12 @@ by rays (the norms of the stacked reductions applied to the stacked ray
 representatives, compared with the null threshold), and reduces it with
 ``all`` along the rows or the columns.  Ray-set membership is likewise
 one matrix of normalised overlaps.
+
+The contextual valuations are the two predicates of ``reduction``
+(``in_reduced_eigenspace`` and ``rays_agree``) on two more domains of
+strings: the polar of a context ray set, stacked by
+``ProjectorAlphabet.reductions``, and the tails of one context string,
+stacked as running products from the right.
 """
 
 from __future__ import annotations
@@ -21,9 +27,8 @@ import numpy as np
 
 from .errors import (ContextError, PreconditionError, StructureError, UsageError,
                      ValidationError)
-from .linalg import (DEFAULT_TOL, HermitianOperator, Ray, TolerancePolicy, as_vector,
-                     image_subspace, in_subspace, operator_norm, ray_equal)
-from .reduction import ProjectorAlphabet
+from .linalg import DEFAULT_TOL, HermitianOperator, Ray, TolerancePolicy, as_vector, operator_norm
+from .reduction import ProjectorAlphabet, in_reduced_eigenspace, rays_agree, unit_state
 from .strings import DEFAULT_STRING_BUDGET, Letters
 
 
@@ -137,7 +142,7 @@ def _non_annihilation(alphabet: ProjectorAlphabet, strings: Sequence[Letters],
     if len(rays) and rays.dim != d:
         raise ContextError(f"ray set has dimension {rays.dim}, "
                            f"but the universe's strings act on dimension {d}")
-    reductions = np.array([alphabet.reduce(q) for q in strings], dtype=complex)
+    reductions = alphabet.reductions(strings)
     vectors = np.array([r.representative for r in rays], dtype=complex).reshape(-1, d).T
     images = (reductions.reshape(-1, d) @ vectors).reshape(len(strings), d, len(rays))
     return np.linalg.norm(images, axis=1) > alphabet.tol.null_threshold
@@ -173,20 +178,27 @@ def is_full(xi: RaySet, universe: StringUniverse, candidates: RaySet) -> bool:
     return len(closed) == len(xi) and xi.is_subset_of(closed)
 
 
+def _subject(states: Sequence) -> str:
+    return "both states" if len(states) == 2 else "the state"
+
+
+def _context_members(xi: RaySet, universe: StringUniverse,
+                     *states) -> tuple[tuple[Letters, ...], list[np.ndarray]]:
+    """The polar of the context and the unit representatives of the states,
+    which must lie in the context ray set."""
+    rays = [Ray(as_vector(s, universe.alphabet.dim), xi.tol) for s in states]
+    if not all(xi.contains(r) for r in rays):
+        raise ContextError(f"{_subject(states)} must lie in the context ray set")
+    return polar_of_rays(xi, universe), [r.representative for r in rays]
+
+
 def context_truth_equal(psi, phi, xi: RaySet, universe: StringUniverse) -> tuple[Letters, ...]:
     """Strings of the polar of the context merging the two rays; every
     image is non-null by construction of the polar."""
     alphabet = universe.alphabet
-    v = as_vector(psi, alphabet.dim)
-    w = as_vector(phi, alphabet.dim)
-    if not (xi.contains(Ray(v, xi.tol)) and xi.contains(Ray(w, xi.tol))):
-        raise ContextError("both states must lie in the context ray set")
-    out = []
-    for q in polar_of_rays(xi, universe):
-        mat = alphabet.reduce(q)
-        if ray_equal(mat @ v, mat @ w, alphabet.tol):
-            out.append(q)
-    return tuple(out)
+    polar, (v, w) = _context_members(xi, universe, psi, phi)
+    keep = rays_agree(alphabet.reductions(polar), v, w, alphabet.tol)
+    return tuple(q for q, k in zip(polar, keep) if k)
 
 
 def context_valuation(psi, op: HermitianOperator, delta, xi: RaySet,
@@ -194,16 +206,10 @@ def context_valuation(psi, op: HermitianOperator, delta, xi: RaySet,
     """Strings of the polar of the context sending the state into the
     reduced eigenspace of the proposition."""
     alphabet = universe.alphabet
-    v = as_vector(psi, alphabet.dim)
-    if not xi.contains(Ray(v, xi.tol)):
-        raise ContextError("the state must lie in the context ray set")
+    polar, (v,) = _context_members(xi, universe, psi)
     target = op.eigenspace(delta, alphabet.tol)
-    out = []
-    for q in polar_of_rays(xi, universe):
-        mat = alphabet.reduce(q)
-        if in_subspace(mat @ v, image_subspace(mat, target, alphabet.tol), alphabet.tol):
-            out.append(q)
-    return tuple(out)
+    keep = in_reduced_eigenspace(alphabet.reductions(polar), v, target, alphabet.tol)
+    return tuple(q for q, k in zip(polar, keep) if k)
 
 
 # ---------------------------------------------------------------------------
@@ -310,36 +316,35 @@ class Sieve:
         }
 
 
+def _tail_reductions(alphabet: ProjectorAlphabet, context: Sequence[str],
+                     *states) -> tuple[Letters, np.ndarray, list[np.ndarray]]:
+    """The context, the reductions of its tails by length (running products
+    from the right, so the last row reduces the whole context), and the
+    unit representatives of the states, which must be reducible at the
+    context."""
+    q = alphabet.monoid.check_string(context)
+    stack = [np.eye(alphabet.dim, dtype=complex)]
+    for letter in reversed(q):
+        stack.append(alphabet.matrix(letter) @ stack[-1])
+    units = [unit_state(alphabet, s) for s in states]
+    if any(np.linalg.norm(stack[-1] @ u) <= alphabet.tol.null_threshold for u in units):
+        raise ContextError(f"{_subject(states)} must be reducible at the context")
+    return q, np.array(stack), units
+
+
 def sieve_truth_equal(alphabet: ProjectorAlphabet, psi, phi,
                       context: Sequence[str]) -> Sieve:
     """The sieve of tails of the context after which the two rays agree;
     defined only when both states are reducible at the context."""
-    q = alphabet.monoid.check_string(context)
-    v = as_vector(psi, alphabet.dim)
-    w = as_vector(phi, alphabet.dim)
-    if not (reducible(alphabet, q, v) and reducible(alphabet, q, w)):
-        raise ContextError("both states must be reducible at the context")
-    p = len(q)
-    flags = []
-    for k in range(p + 1):
-        mat = alphabet.reduce(q[p - k:])
-        flags.append(ray_equal(mat @ v, mat @ w, alphabet.tol))
-    return Sieve(q, frozenset(k for k, ok in enumerate(flags) if ok))
+    q, tails, (v, w) = _tail_reductions(alphabet, context, psi, phi)
+    return Sieve(q, frozenset(np.flatnonzero(rays_agree(tails, v, w, alphabet.tol)).tolist()))
 
 
 def sieve_valuation(alphabet: ProjectorAlphabet, psi, op: HermitianOperator,
                     delta, context: Sequence[str]) -> Sieve:
     """The sieve of tails sending the state into the reduced eigenspace of
     the proposition."""
-    q = alphabet.monoid.check_string(context)
-    v = as_vector(psi, alphabet.dim)
-    if not reducible(alphabet, q, v):
-        raise ContextError("the state must be reducible at the context")
+    q, tails, (v,) = _tail_reductions(alphabet, context, psi)
     target = op.eigenspace(delta, alphabet.tol)
-    p = len(q)
-    flags = []
-    for k in range(p + 1):
-        mat = alphabet.reduce(q[p - k:])
-        flags.append(in_subspace(mat @ v, image_subspace(mat, target, alphabet.tol),
-                                 alphabet.tol))
-    return Sieve(q, frozenset(k for k, ok in enumerate(flags) if ok))
+    inside = in_reduced_eigenspace(tails, v, target, alphabet.tol)
+    return Sieve(q, frozenset(np.flatnonzero(inside).tolist()))

@@ -116,8 +116,8 @@ def standard_monoid_corpus(seed: int = 2027, random_count: int = 45) -> list[Fin
 def random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
     for _ in range(20):
         g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-        q = orthonormalize(g, 1e-9)
-        if q.shape[1] == dim:
+        q = orthonormalize(g[None], 1e-9)[0]
+        if q.any(axis=0).all():
             return q
     raise CapacityError("failed to draw a unitary")
 

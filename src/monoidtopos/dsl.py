@@ -526,19 +526,23 @@ def parse_spec(text: str, eps: Optional[float] = None,
 
 def _resolve(decls: list, diagnostics: list[Diagnostic], eps: Optional[float],
              null: Optional[float]) -> Optional[SystemSpec]:
-    file_eps = file_null = None
-    for d in decls:
-        if isinstance(d, ToleranceDecl):
-            file_eps = d.eps if d.eps is not None else file_eps
-            file_null = d.null if d.null is not None else file_null
+    # Each field comes from the argument, else the last tolerance block
+    # that sets it, else the default; a bad value is reported where it came from.
+    picked = {}
+    for key, attr, given in (("eps", "eps", eps), ("null_threshold", "null", null)):
+        blocks = [d for d in decls if isinstance(d, ToleranceDecl) and getattr(d, attr) is not None]
+        if given is None and blocks:
+            picked[key] = (getattr(blocks[-1], attr), blocks[-1].loc)
+        else:
+            picked[key] = (getattr(DEFAULT_TOL, key) if given is None else given,
+                           Diagnostic(1, 1, ""))
     try:
-        tolerance = TolerancePolicy(
-            next(x for x in (eps, file_eps, DEFAULT_TOL.eps) if x is not None),
-            next(x for x in (null, file_null, DEFAULT_TOL.null_threshold) if x is not None))
+        for key, (value, loc) in picked.items():
+            TolerancePolicy(**{key: value})
     except MonoidToposError as exc:
-        loc = next((d.loc for d in decls if isinstance(d, ToleranceDecl)), Diagnostic(1, 1, ""))
         diagnostics.append(Diagnostic(loc.line, loc.col, str(exc)))
         return None
+    tolerance = TolerancePolicy(picked["eps"][0], picked["null_threshold"][0])
 
     spec = SystemSpec(decls, tolerance)
 
@@ -607,6 +611,8 @@ def _infer_values(matrices: list, tol: TolerancePolicy) -> tuple[float, ...]:
 
 
 def _resolve_quantum(d: QuantumDecl, tol: TolerancePolicy) -> ResolvedQuantum:
+    if d.dim < 1:
+        raise MonoidToposError(f"dimension must be positive, got {d.dim}")
     operators = {m.name: as_matrix(m.matrix, d.dim)
                  for m in d.members if isinstance(m, MatrixMemberDecl) and m.kind == "operator"}
     values = d.values

@@ -37,9 +37,5 @@ class PreconditionError(MonoidToposError):
     """A documented operation precondition does not hold."""
 
 
-class NullReductionError(PreconditionError):
-    """Normalised reduction requested for an annihilated vector."""
-
-
 class ContextError(PreconditionError):
     """A contextual truth value was requested outside its context."""

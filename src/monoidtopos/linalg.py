@@ -101,48 +101,32 @@ class Subspace:
         cols = np.column_stack([as_vector(v) for v in vectors]) if len(vectors) else None
         if cols is None:
             raise StructureError("span of nothing has no ambient dimension")
-        return Subspace(cols.shape[0], orthonormalize(cols, tol.null_threshold))
+        basis = orthonormalize(cols[None], tol.null_threshold)[0]
+        return Subspace(cols.shape[0], basis[:, basis.any(axis=0)])
 
     def __repr__(self):
         return f"Subspace(dim {self.dim} of {self.ambient_dim})"
 
 
 def orthonormalize(columns: np.ndarray, null_threshold: float) -> np.ndarray:
-    """Modified Gram-Schmidt with re-orthogonalisation; columns whose
-    residual norm falls at or below the null threshold are dropped."""
-    columns = np.asarray(columns, dtype=complex)
-    if columns.ndim != 2:
-        raise StructureError("expected a 2-d column block")
-    basis: list[np.ndarray] = []
-    for j in range(columns.shape[1]):
-        w = columns[:, j].astype(complex).copy()
-        for _ in range(2):
-            for b in basis:
-                w -= b * (b.conj() @ w)
-        norm = float(np.linalg.norm(w))
-        if norm > null_threshold:
-            basis.append(w / norm)
-    if not basis:
-        return np.zeros((columns.shape[0], 0), dtype=complex)
-    return np.column_stack(basis)
-
-
-def image_subspace(a: np.ndarray, k: Subspace, tol: TolerancePolicy = DEFAULT_TOL) -> Subspace:
-    """The image of a subspace under a matrix (closure is automatic in
-    finite dimension); rank decided at the null threshold."""
-    a = np.asarray(a, dtype=complex)
-    if a.shape[1] != k.ambient_dim:
-        raise StructureError("matrix and subspace dimensions do not match")
-    if k.dim == 0:
-        return Subspace.zero(a.shape[0])
-    return Subspace(a.shape[0], orthonormalize(a @ k.basis, tol.null_threshold))
-
-
-def in_subspace(v: np.ndarray, k: Subspace, tol: TolerancePolicy = DEFAULT_TOL) -> bool:
-    """Membership up to the null threshold; the zero vector is in every subspace."""
-    v = as_vector(v, k.ambient_dim)
-    residual = v - k.basis @ (k.basis.conj().T @ v)
-    return float(np.linalg.norm(residual)) <= tol.null_threshold * max(float(np.linalg.norm(v)), 1.0)
+    """Gram-Schmidt on a stack of column blocks, shape (N, d, k), in column
+    order: each column is projected off the basis kept so far twice
+    ("twice is enough") and dropped when its residual norm falls at or
+    below the null threshold.  Kept columns come back orthonormal in
+    place; dropped ones come back zero, so ``any(axis=1)`` marks the kept."""
+    a = np.asarray(columns, dtype=complex)
+    if a.ndim != 3:
+        raise StructureError("expected an (N, d, k) stack of column blocks")
+    q = np.zeros_like(a)
+    for j in range(a.shape[2]):
+        w = a[:, :, j]
+        if j:
+            basis = q[:, :, :j]
+            for _ in range(2):
+                w = w - np.einsum("ndk,nk->nd", basis, np.einsum("ndk,nd->nk", basis.conj(), w))
+        norm = np.linalg.norm(w, axis=1)
+        q[:, :, j] = w / np.where(norm > null_threshold, norm, np.inf)[:, None]
+    return q
 
 
 class Projector:
@@ -252,8 +236,8 @@ def hermitian_eig(matrix, tol: TolerancePolicy = DEFAULT_TOL,
     bases = []
     eigenvalues = []
     for lam, idxs in groups:
-        block = orthonormalize(vecs[:, idxs], 0.5)
-        if block.shape[1] != len(idxs):
+        block = orthonormalize(vecs[None, :, idxs], 0.5)[0]
+        if not block.any(axis=0).all():
             raise NumericError("eigenvector block lost rank")
         bases.append(block)
         eigenvalues.append(float(np.mean([vals[i] for i in idxs])) if snap_to is None else lam)

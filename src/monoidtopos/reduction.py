@@ -1,9 +1,18 @@
-"""Actions of operators and projector strings on vectors, rays, subspaces,
-and density matrices; the reduction valuations as depth-certified ideals.
+"""Actions of operators and projector strings on vectors, rays and
+density matrices, and the string valuations as depth-certified ideals.
 
 A string (P_n, ..., P_1) reduces to the operator product applied right to
 left, so the rightmost letter acts first and prepending a letter is the
 left-multiplication that the ideal property quantifies over.
+
+Every string valuation is one of two predicates evaluated on an (N, d, d)
+stack of reductions, giving one boolean per string:
+``in_reduced_eigenspace`` (the reduced state lies in the reduced
+eigenspace of a proposition) and ``rays_agree`` (two reduced states can no
+longer be told apart).  The domains of strings only build the stack: here
+the free monoid up to a depth, in ``context`` the polar of a ray set and
+the tails of one context string.  States enter through their unit
+representative, so every valuation depends only on the ray.
 """
 
 from __future__ import annotations
@@ -12,11 +21,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import (MissingNameError, NullReductionError, PreconditionError,
-                     UsageError, ValidationError)
+from .errors import MissingNameError, UsageError, ValidationError
 from .linalg import (DEFAULT_TOL, HermitianOperator, Projector, Ray, Subspace,
                      TolerancePolicy, ZERO_RAY, RayOrZero, as_matrix, as_vector,
-                     image_subspace, in_subspace, is_hermitian, ray_equal)
+                     is_hermitian, orthonormalize)
 from .strings import (DEFAULT_STRING_BUDGET, BoundedIdeal, Letters,
                       ProjStringMonoid, bounded_ideal)
 
@@ -24,38 +32,21 @@ DEFAULT_DEPTH = 4
 
 
 class ProjectorAlphabet:
-    """Named matrices usable as string letters.
-
-    By default every letter must be an orthogonal projector; with
-    kind='hermitian' any Hermitian matrix is accepted (products of
-    Hermitians make the same string machinery available, though no
-    valuation uses it).
-    """
+    """Named orthogonal projectors usable as string letters."""
 
     def __init__(self, matrices: dict[str, object] | Sequence[tuple[str, object]],
-                 tol: TolerancePolicy = DEFAULT_TOL, kind: str = "projector"):
-        if kind not in ("projector", "hermitian"):
-            raise UsageError(f"unknown alphabet kind {kind!r}")
+                 tol: TolerancePolicy = DEFAULT_TOL):
         items = list(matrices.items()) if isinstance(matrices, dict) else list(matrices)
         if not items:
             raise UsageError("alphabet needs at least one letter")
-        self.kind = kind
         self.tol = tol
         self.matrices: dict[str, np.ndarray] = {}
-        dim = None
         for name, matrix in items:
-            if kind == "projector":
-                a = Projector(matrix, tol).matrix
-            else:
-                a = as_matrix(matrix)
-                if not is_hermitian(a, tol.eps):
-                    raise ValidationError(f"letter {name!r} is not Hermitian")
-            if dim is None:
-                dim = a.shape[0]
-            elif a.shape[0] != dim:
+            a = Projector(matrix, tol).matrix
+            if self.matrices and a.shape[0] != self.dim:
                 raise ValidationError("letters must share one dimension")
+            self.dim = a.shape[0]
             self.matrices[str(name)] = a
-        self.dim = int(dim)
         self.monoid = ProjStringMonoid(tuple(self.matrices))
         self._cache: dict[Letters, np.ndarray] = {(): np.eye(self.dim, dtype=complex)}
 
@@ -85,31 +76,10 @@ class ProjectorAlphabet:
             self._cache[q[i:]] = result
         return result
 
-
-def hermitian_alphabet(matrices, tol: TolerancePolicy = DEFAULT_TOL) -> ProjectorAlphabet:
-    return ProjectorAlphabet(matrices, tol, kind="hermitian")
-
-
-class ProjString:
-    """A string of alphabet letters with its cached reduction."""
-
-    __slots__ = ("alphabet", "letters", "reduction")
-
-    def __init__(self, alphabet: ProjectorAlphabet, letters: Sequence[str]):
-        self.alphabet = alphabet
-        self.letters = alphabet.monoid.check_string(letters)
-        self.reduction = alphabet.reduce(self.letters)
-
-    def __len__(self):
-        return len(self.letters)
-
-    def concat(self, other: "ProjString") -> "ProjString":
-        if self.alphabet is not other.alphabet:
-            raise UsageError("strings use different alphabets")
-        return ProjString(self.alphabet, self.letters + other.letters)
-
-    def __repr__(self):
-        return "ProjString(" + ",".join(self.letters) + ")"
+    def reductions(self, strings: Sequence[Sequence[str]]) -> np.ndarray:
+        """The reductions of the strings as one (N, d, d) stack."""
+        stack = np.array([self.reduce(q) for q in strings], dtype=complex)
+        return stack.reshape(len(stack), self.dim, self.dim)
 
 
 class DensityMatrix:
@@ -149,28 +119,63 @@ def act_on_ray(a: np.ndarray, ray: RayOrZero, tol: TolerancePolicy = DEFAULT_TOL
     return Ray(w, tol)
 
 
-def normalized_reduction(alphabet: ProjectorAlphabet, psi, letters: Sequence[str]) -> np.ndarray:
-    """The unit-normalised reduced vector; partial — annihilated input is
-    an error, not a value."""
-    v = as_vector(psi, alphabet.dim)
-    w = alphabet.reduce(tuple(letters)) @ v
-    norm = float(np.linalg.norm(w))
-    if norm <= alphabet.tol.null_threshold:
-        raise NullReductionError("string annihilates the state")
-    return w / norm
+def unit_state(alphabet: ProjectorAlphabet, psi) -> np.ndarray:
+    """The unit representative of the state's ray; a null state has none."""
+    return Ray(as_vector(psi, alphabet.dim), alphabet.tol).representative
 
 
-def _check_state(alphabet: ProjectorAlphabet, psi) -> np.ndarray:
-    v = as_vector(psi, alphabet.dim)
-    if float(np.linalg.norm(v)) <= alphabet.tol.null_threshold:
-        raise PreconditionError("state vector is null")
-    return v
+def in_reduced_eigenspace(reductions: np.ndarray, state: np.ndarray, target: Subspace,
+                          tol: TolerancePolicy, projective: bool = False) -> np.ndarray:
+    """Entry n is True iff reductions[n] sends the state into the image of
+    the target subspace under reductions[n].
+
+    The image is spanned by the reduced target basis, orthonormalised with
+    columns dropped at the null threshold.  A vector state is inside when
+    its residual off the image is within the null threshold (scaled by its
+    norm when that exceeds 1), so a null image is inside every image.
+    With ``projective`` a null image is the absorbing point instead, which
+    lies in the image exactly when the reduction drops the target's rank:
+    that convention makes the ideal property a theorem.  A density matrix
+    state is inside when the reduced state's trace is all kept by the
+    image, so annihilated strings qualify without normalisation.
+    """
+    thr = tol.null_threshold
+    images = orthonormalize(reductions @ target.basis, thr)
+    if state.ndim == 2:
+        reduced = reductions @ state @ reductions.conj().transpose(0, 2, 1)
+        total = np.trace(reduced, axis1=1, axis2=2).real
+        kept = np.einsum("nik,nij,njk->n", images.conj(), reduced, images).real
+        return np.abs(total - kept) <= thr * np.maximum(total, 1.0)
+    w = reductions @ state
+    norm = np.linalg.norm(w, axis=1)
+    residual = w - (images @ (images.conj().transpose(0, 2, 1) @ w[..., None]))[..., 0]
+    inside = np.linalg.norm(residual, axis=1) <= thr * np.maximum(norm, 1.0)
+    if projective:
+        rank_drop = ~images.any(axis=1).all(axis=1)
+        inside = np.where(norm <= thr, rank_drop, inside)
+    return inside
 
 
-def _eigenspace(alphabet: ProjectorAlphabet, op: HermitianOperator, delta) -> Subspace:
+def rays_agree(reductions: np.ndarray, psi: np.ndarray, phi: np.ndarray,
+               tol: TolerancePolicy) -> np.ndarray:
+    """Entry n is True iff reductions[n] leaves the two states
+    indistinguishable: both images null, or both non-null with normalised
+    overlap at least 1 - eps, as in ``ray_equal``."""
+    a, b = reductions @ psi, reductions @ phi
+    na, nb = np.linalg.norm(a, axis=1), np.linalg.norm(b, axis=1)
+    alive_a, alive_b = na > tol.null_threshold, nb > tol.null_threshold
+    with np.errstate(divide="ignore", invalid="ignore"):
+        same = np.abs(np.einsum("ni,ni->n", a.conj(), b)) / (na * nb) >= 1.0 - tol.eps
+    return np.where(alive_a, alive_b & same, ~alive_b)
+
+
+def _eigenspace_ideal(alphabet: ProjectorAlphabet, state: np.ndarray, op: HermitianOperator,
+                      delta, depth: int, budget: int, projective: bool = False) -> BoundedIdeal:
     if op.dim != alphabet.dim:
         raise UsageError("operator dimension does not match the alphabet")
-    return op.eigenspace(delta, alphabet.tol)
+    target = op.eigenspace(delta, alphabet.tol)
+    return bounded_ideal(alphabet.monoid, lambda strings: in_reduced_eigenspace(
+        alphabet.reductions(strings), state, target, alphabet.tol, projective), depth, budget)
 
 
 def valuation_vector(alphabet: ProjectorAlphabet, psi, op: HermitianOperator,
@@ -178,15 +183,7 @@ def valuation_vector(alphabet: ProjectorAlphabet, psi, op: HermitianOperator,
                      budget: int = DEFAULT_STRING_BUDGET) -> BoundedIdeal:
     """Strings whose reduction sends the state into the reduced eigenspace
     of the proposition, certified to the given depth."""
-    v = _check_state(alphabet, psi)
-    target = _eigenspace(alphabet, op, delta)
-    tol = alphabet.tol
-
-    def predicate(q: Letters) -> bool:
-        mat = alphabet.reduce(q)
-        return in_subspace(mat @ v, image_subspace(mat, target, tol), tol)
-
-    return bounded_ideal(alphabet.monoid, predicate, depth, budget)
+    return _eigenspace_ideal(alphabet, unit_state(alphabet, psi), op, delta, depth, budget)
 
 
 def valuation_ray(alphabet: ProjectorAlphabet, psi, op: HermitianOperator,
@@ -194,21 +191,9 @@ def valuation_ray(alphabet: ProjectorAlphabet, psi, op: HermitianOperator,
                   budget: int = DEFAULT_STRING_BUDGET) -> BoundedIdeal:
     """Projective version: the reduced ray must lie in the reduced
     projective eigenspace, where the absorbing point belongs to the image
-    exactly when the reduction kills part of the eigenspace (rank drop).
-    That convention makes the ideal property a theorem."""
-    v = _check_state(alphabet, psi)
-    target = _eigenspace(alphabet, op, delta)
-    tol = alphabet.tol
-
-    def predicate(q: Letters) -> bool:
-        mat = alphabet.reduce(q)
-        w = mat @ v
-        image = image_subspace(mat, target, tol)
-        if float(np.linalg.norm(w)) <= tol.null_threshold:
-            return image.dim < target.dim
-        return in_subspace(w, image, tol)
-
-    return bounded_ideal(alphabet.monoid, predicate, depth, budget)
+    exactly when the reduction kills part of the eigenspace (rank drop)."""
+    return _eigenspace_ideal(alphabet, unit_state(alphabet, psi), op, delta, depth, budget,
+                             projective=True)
 
 
 def truth_ray_equal_strings(alphabet: ProjectorAlphabet, psi, phi,
@@ -216,22 +201,9 @@ def truth_ray_equal_strings(alphabet: ProjectorAlphabet, psi, phi,
                             budget: int = DEFAULT_STRING_BUDGET) -> BoundedIdeal:
     """Strings after which the two states can no longer be told apart:
     both reductions null, or both non-null on the same ray."""
-    v = _check_state(alphabet, psi)
-    w = _check_state(alphabet, phi)
-    tol = alphabet.tol
-
-    def predicate(q: Letters) -> bool:
-        mat = alphabet.reduce(q)
-        rv, rw = mat @ v, mat @ w
-        nv = float(np.linalg.norm(rv)) > tol.null_threshold
-        nw = float(np.linalg.norm(rw)) > tol.null_threshold
-        if nv != nw:
-            return False
-        if not nv:
-            return True
-        return ray_equal(rv, rw, tol)
-
-    return bounded_ideal(alphabet.monoid, predicate, depth, budget)
+    v, w = unit_state(alphabet, psi), unit_state(alphabet, phi)
+    return bounded_ideal(alphabet.monoid, lambda strings: rays_agree(
+        alphabet.reductions(strings), v, w, alphabet.tol), depth, budget)
 
 
 def valuation_density(alphabet: ProjectorAlphabet, rho: DensityMatrix,
@@ -244,15 +216,4 @@ def valuation_density(alphabet: ProjectorAlphabet, rho: DensityMatrix,
         rho = DensityMatrix(rho, alphabet.tol)
     if rho.dim != alphabet.dim:
         raise UsageError("density matrix dimension does not match the alphabet")
-    target = _eigenspace(alphabet, op, delta)
-    tol = alphabet.tol
-
-    def predicate(q: Letters) -> bool:
-        mat = alphabet.reduce(q)
-        reduced = mat @ rho.matrix @ mat.conj().T
-        total = float(np.real(np.trace(reduced)))
-        inside = image_subspace(mat, target, tol)
-        kept = float(np.real(np.trace(inside.projector_matrix() @ reduced)))
-        return abs(total - kept) <= tol.null_threshold * max(total, 1.0)
-
-    return bounded_ideal(alphabet.monoid, predicate, depth, budget)
+    return _eigenspace_ideal(alphabet, rho.matrix, op, delta, depth, budget)

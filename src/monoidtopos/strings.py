@@ -4,6 +4,8 @@ Strings are tuples of letter ids in display order: the leftmost letter is
 applied *last*, so ``concat(q, r)`` lists q's letters before r's and r acts
 first.  Ideals of the free monoid are infinite, so they are represented by
 a membership predicate plus a witness cache verified up to a fixed depth.
+The predicate is batched: it maps a list of strings to one boolean per
+string, and ``bounded_ideal`` feeds it the enumeration in batches.
 """
 
 from __future__ import annotations
@@ -15,8 +17,10 @@ from typing import Callable, Iterator, Sequence
 from .errors import CapacityError, PreconditionError, UsageError
 
 DEFAULT_STRING_BUDGET = 1 << 20
+PREDICATE_BATCH = 256
 
 Letters = tuple[str, ...]
+Predicate = Callable[[Sequence[Letters]], Sequence[bool]]
 
 
 @dataclass(frozen=True)
@@ -64,11 +68,6 @@ class ProjStringMonoid:
             yield from itertools.product(self.alphabet, repeat=k)
 
 
-def string_concat(q: Sequence[str], r: Sequence[str]) -> Letters:
-    """Concatenation of bare letter tuples (r applied first)."""
-    return tuple(q) + tuple(r)
-
-
 @dataclass(frozen=True)
 class BoundedIdeal:
     """A left ideal of a free string monoid, certified up to a depth.
@@ -80,13 +79,13 @@ class BoundedIdeal:
     """
 
     monoid: ProjStringMonoid
-    predicate: Callable[[Letters], bool] = field(compare=False)
+    predicate: Predicate = field(compare=False)
     max_verified_length: int
     members: tuple[Letters, ...]
     violations: tuple[tuple[str, Letters], ...]
 
     def __contains__(self, q: Sequence[str]) -> bool:
-        return bool(self.predicate(self.monoid.check_string(q)))
+        return bool(self.predicate([self.monoid.check_string(q)])[0])
 
     @property
     def certificate(self) -> dict:
@@ -99,17 +98,17 @@ class BoundedIdeal:
         return len(self.members)
 
 
-def bounded_ideal(monoid: ProjStringMonoid, predicate: Callable[[Letters], bool],
+def bounded_ideal(monoid: ProjStringMonoid, predicate: Predicate,
                   depth: int, budget: int = DEFAULT_STRING_BUDGET) -> BoundedIdeal:
-    """Evaluate a membership predicate on all strings up to ``depth`` and
-    certify the left-ideal property (single-letter extensions suffice,
-    since longer prefixes factor through them)."""
+    """Evaluate a batched membership predicate on all strings up to
+    ``depth``, shortest first, and certify the left-ideal property
+    (single-letter extensions suffice, since longer prefixes factor
+    through them)."""
+    strings = monoid.enumerate_strings(depth, budget=budget)
     members = []
-    member_set = set()
-    for q in monoid.enumerate_strings(depth, budget=budget):
-        if predicate(q):
-            members.append(q)
-            member_set.add(q)
+    while batch := list(itertools.islice(strings, PREDICATE_BATCH)):
+        members += [q for q, keep in zip(batch, predicate(batch)) if keep]
+    member_set = set(members)
     violations = []
     for q in members:
         if len(q) >= depth:

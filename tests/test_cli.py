@@ -398,9 +398,12 @@ def test_cli_query_entry_cannot_change_the_tolerance(tmp_path):
      {"line": 22, "col": 23, "message": "malformed number '1.2.3'"}),
     ("monoid Bad { elements 1e400; table [[0]]; }",
      {"line": 22, "col": 23, "message": "element count must be an integer"}),
-    # reported at the file's first tolerance block
     ("tolerance { null 1e400; }",
-     {"line": 2, "col": 1, "message": "tolerances must be finite"}),
+     {"line": 22, "col": 1, "message": "tolerances must be finite"}),
+    ("quantum Bad { dim 0; values {0,1}; }",
+     {"line": 22, "col": 1, "message": "dimension must be positive, got 0"}),
+    ("quantum Bad { dim -1; values {0,1}; }",
+     {"line": 22, "col": 1, "message": "dimension must be positive, got -1"}),
 ])
 def test_cli_parse_reports_numbers_it_cannot_use(tmp_path, capsys, declaration, diagnostic):
     code, out = run_cli(["parse", fixture_with(tmp_path, declaration)])

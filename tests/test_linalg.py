@@ -9,10 +9,10 @@ from monoidtopos.errors import (DomainError, NumericError, PreconditionError,
                                 StructureError, ValidationError)
 from monoidtopos.linalg import (DEFAULT_TOL, Projector, Ray, Subspace,
                                 TolerancePolicy, ZERO_RAY, apply_function,
-                                as_matrix, hermitian_eig, image_subspace,
-                                in_subspace, operator_norm, orthonormalize,
-                                ray_equal, spectral_projector)
+                                as_matrix, hermitian_eig, operator_norm,
+                                orthonormalize, ray_equal, spectral_projector)
 from tests.conftest import E1, E2, PLUS, PPLUS, PZ, SX, SZ
+from tests.valuation_oracle import image_subspace, in_subspace
 
 
 def test_tolerance_policy_positive():
@@ -299,6 +299,7 @@ def test_operator_norm_failure_is_a_numeric_error(monkeypatch):
 
 
 def test_orthonormalize_rank_decision():
-    cols = np.column_stack([E1, E1 * (1 + 1e-13), E2])
-    basis = orthonormalize(cols, DEFAULT_TOL.null_threshold)
-    assert basis.shape[1] == 2
+    cols = np.column_stack([E1, E1 * (1 + 1e-13), E2, PLUS])
+    basis = orthonormalize(cols[None], DEFAULT_TOL.null_threshold)[0]
+    assert basis.any(axis=0).tolist() == [True, False, True, False]
+    assert np.allclose(basis[:, [0, 2]], np.eye(2))

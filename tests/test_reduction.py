@@ -3,15 +3,15 @@ import pytest
 
 from monoidtopos.corpus import (random_labeled_hermitian, random_projector,
                                 random_state)
-from monoidtopos.errors import (MissingNameError, NullReductionError,
-                                PreconditionError, UsageError, ValidationError)
+from monoidtopos.context import sieve_valuation
+from monoidtopos.errors import (MissingNameError, PreconditionError, UsageError,
+                                ValidationError)
 from monoidtopos.linalg import Ray, ZERO_RAY, hermitian_eig, ray_equal
-from monoidtopos.reduction import (DensityMatrix, ProjString, ProjectorAlphabet,
-                                   act_on_ray, hermitian_alphabet,
-                                   normalized_reduction, truth_ray_equal_strings,
-                                   valuation_density, valuation_ray,
-                                   valuation_vector)
-from tests.conftest import E1, E2, PLUS, PMINUS, PPLUS, PZ, SX, SZ
+from monoidtopos.reduction import (DensityMatrix, ProjectorAlphabet, act_on_ray,
+                                   truth_ray_equal_strings, valuation_density,
+                                   valuation_ray, valuation_vector)
+from tests.conftest import E1, E2, PLUS, PMINUS, PPLUS, PZ
+from tests.valuation_oracle import image_subspace
 
 
 def test_alphabet_validates_letters():
@@ -19,10 +19,8 @@ def test_alphabet_validates_letters():
         ProjectorAlphabet({"bad": np.array([[1.0, 1.0], [1.0, 1.0]])})
     with pytest.raises(UsageError):
         ProjectorAlphabet({})
-    herm = hermitian_alphabet({"X": SX})
-    assert herm.kind == "hermitian"
-    with pytest.raises(ValidationError):
-        hermitian_alphabet({"bad": np.array([[0.0, 1.0], [0.0, 0.0]])})
+    with pytest.raises(ValidationError, match="one dimension"):
+        ProjectorAlphabet({"Pz": PZ, "I3": np.eye(3)})
 
 
 def test_reduce_unit_and_homomorphism(qubit_alphabet):
@@ -76,27 +74,12 @@ def test_reduce_long_string_does_not_recurse(qubit_alphabet):
     assert len(qubit_alphabet._cache) == 3001
 
 
-def test_projstring_caches_reduction(qubit_alphabet):
-    s = ProjString(qubit_alphabet, ("Pz", "Pplus"))
-    assert np.allclose(s.reduction, PZ @ PPLUS, atol=1e-12)
-    t = s.concat(ProjString(qubit_alphabet, ("Pz",)))
-    assert t.letters == ("Pz", "Pplus", "Pz")
-
-
 def test_act_on_ray(qubit_alphabet):
     assert act_on_ray(np.eye(2), Ray(PLUS)).same_ray(Ray(PLUS))
     assert act_on_ray(PZ, Ray(E2)) is ZERO_RAY
     assert act_on_ray(PZ, ZERO_RAY) is ZERO_RAY
     moved = act_on_ray(PPLUS, Ray(E1))
     assert moved.same_ray(Ray(PLUS))
-
-
-def test_normalized_reduction(qubit_alphabet):
-    psi = normalized_reduction(qubit_alphabet, E1, ("Pplus",))
-    assert np.allclose(psi, PLUS, atol=1e-12)
-    assert np.allclose(normalized_reduction(qubit_alphabet, PLUS, ()), PLUS)
-    with pytest.raises(NullReductionError):
-        normalized_reduction(qubit_alphabet, E2, ("Pz",))
 
 
 def test_valuation_vector_qubit_fixture(qubit_alphabet, sz_op):
@@ -202,9 +185,17 @@ def test_scale_invariance_of_string_valuations(qubit_alphabet, sz_op):
     psi = random_state(rng, 2)
     base = valuation_ray(qubit_alphabet, psi, sz_op, [1.0], depth=2)
     basev = valuation_vector(qubit_alphabet, psi, sz_op, [1.0], depth=2)
-    for lam in (2.0, -0.5, 1j, 3.0 - 4.0j):
+    for lam in (2.0, -0.5, 1j, 3.0 - 4.0j, 1e-6):
         assert valuation_ray(qubit_alphabet, lam * psi, sz_op, [1.0], depth=2).members == base.members
         assert valuation_vector(qubit_alphabet, lam * psi, sz_op, [1.0], depth=2).members == basev.members
+    # A letter with a tiny overlap with e1: the answer must not depend on
+    # the length of the state vector that spans the ray.
+    u = np.array([1e-4, np.sqrt(1 - 1e-8)], dtype=complex)
+    tilted = ProjectorAlphabet({"Pu": np.outer(u, u.conj()), "Pz": PZ})
+    for lam in (1.0, 1e-6):
+        assert truth_ray_equal_strings(tilted, lam * E1, E2, 1).members == (("Pu",),)
+        sieve = sieve_valuation(tilted, lam * E1, sz_op, [1.0], ("Pu",))
+        assert sieve.included_tail_lengths == frozenset({0, 1})
 
 
 def test_random_fixtures_have_clean_certificates():
@@ -225,8 +216,6 @@ def test_random_fixtures_have_clean_certificates():
 
 
 def test_image_dimension_monotone(qubit_alphabet, sz_op):
-    from monoidtopos.linalg import image_subspace
-
     target = sz_op.eigenspace([1.0, -1.0])
     for q in qubit_alphabet.monoid.enumerate_strings(3):
         image = image_subspace(qubit_alphabet.reduce(q), target)

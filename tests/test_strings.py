@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from monoidtopos.errors import CapacityError, PreconditionError, UsageError
-from monoidtopos.strings import (ProjStringMonoid, bounded_ideal, string_concat)
+from monoidtopos.strings import PREDICATE_BATCH, ProjStringMonoid, bounded_ideal
 
 ABC = ProjStringMonoid(("P", "Q", "R"))
 
@@ -32,7 +32,7 @@ letters = st.lists(st.sampled_from("PQR"), max_size=5).map(tuple)
 @settings(max_examples=100, deadline=None)
 @given(letters, letters, letters)
 def test_concat_associative(a, b, c):
-    assert string_concat(string_concat(a, b), c) == string_concat(a, string_concat(b, c))
+    assert ABC.concat(ABC.concat(a, b), c) == ABC.concat(a, ABC.concat(b, c))
 
 
 def test_concat_rejects_foreign_letters():
@@ -71,7 +71,7 @@ def test_enumerate_budget():
 
 def test_bounded_ideal_certificate_clean():
     # strings containing P form a left ideal: prepending letters keeps P
-    ideal = bounded_ideal(ABC, lambda q: "P" in q, depth=3)
+    ideal = bounded_ideal(ABC, lambda qs: ["P" in q for q in qs], depth=3)
     assert not ideal.violations
     assert ideal.certificate == {"depth": 3, "violations": []}
     assert ("P",) in ideal and ("Q",) not in ideal
@@ -80,13 +80,32 @@ def test_bounded_ideal_certificate_clean():
 
 def test_bounded_ideal_detects_violation():
     # strings of even length are not a left ideal
-    ideal = bounded_ideal(ABC, lambda q: len(q) % 2 == 0, depth=3)
+    ideal = bounded_ideal(ABC, lambda qs: [len(q) % 2 == 0 for q in qs], depth=3)
     assert ideal.violations
     letter, member = ideal.violations[0]
     assert letter in ABC.alphabet and len(member) % 2 == 0
 
 
 def test_bounded_ideal_members_exhaustive():
-    ideal = bounded_ideal(ABC, lambda q: q[:1] != ("R",), depth=2)
+    ideal = bounded_ideal(ABC, lambda qs: [q[:1] != ("R",) for q in qs], depth=2)
     expected = [q for q in ABC.enumerate_strings(2) if q[:1] != ("R",)]
     assert list(ideal.members) == expected
+
+
+def test_bounded_ideal_batches_the_enumeration():
+    # full batches in enumeration order, then the rest
+    batches = []
+
+    def predicate(qs):
+        batches.append(list(qs))
+        return [q[:1] != ("R",) for q in qs]
+
+    ideal = bounded_ideal(ABC, predicate, depth=6)
+    full, rest = divmod(ABC.count_strings(6), PREDICATE_BATCH)
+    assert full >= 2 and rest
+    assert [len(b) for b in batches] == [PREDICATE_BATCH] * full + [rest]
+    assert [q for b in batches for q in b] == list(ABC.enumerate_strings(6))
+    assert list(ideal.members) == [q for q in ABC.enumerate_strings(6) if q[:1] != ("R",)]
+    batches.clear()
+    assert ("R", "P") not in ideal and ("P", "R") in ideal
+    assert batches == [[("R", "P")], [("P", "R")]]

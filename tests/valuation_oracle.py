@@ -1,0 +1,166 @@
+"""Per-string reference bodies of the eight string valuations.
+
+These are the loops that the batched proposition kernel of ``reduction``
+replaced: one string at a time, one reduction, one Gram-Schmidt over the
+reduced eigenspace basis and one membership test.  They use their own
+per-column Gram-Schmidt, ``image_subspace`` and ``in_subspace``, so they
+share no numerics with the kernel.  States enter through their unit
+representative, as in the package.
+"""
+
+import numpy as np
+
+from monoidtopos.context import RaySet, Sieve, StringUniverse, polar_of_rays
+from monoidtopos.errors import ContextError, StructureError
+from monoidtopos.linalg import DEFAULT_TOL, Ray, Subspace, as_vector, ray_equal
+
+
+def orthonormalize(columns, null_threshold):
+    """Modified Gram-Schmidt with re-orthogonalisation on one column block;
+    columns whose residual norm falls at or below the null threshold are
+    dropped."""
+    columns = np.asarray(columns, dtype=complex)
+    if columns.ndim != 2:
+        raise StructureError("expected a 2-d column block")
+    basis = []
+    for j in range(columns.shape[1]):
+        w = columns[:, j].copy()
+        for _ in range(2):
+            for b in basis:
+                w -= b * (b.conj() @ w)
+        norm = float(np.linalg.norm(w))
+        if norm > null_threshold:
+            basis.append(w / norm)
+    if not basis:
+        return np.zeros((columns.shape[0], 0), dtype=complex)
+    return np.column_stack(basis)
+
+
+def image_subspace(a, k, tol=DEFAULT_TOL):
+    """The image of a subspace under a matrix; rank decided at the null
+    threshold."""
+    a = np.asarray(a, dtype=complex)
+    if a.shape[1] != k.ambient_dim:
+        raise StructureError("matrix and subspace dimensions do not match")
+    if k.dim == 0:
+        return Subspace.zero(a.shape[0])
+    return Subspace(a.shape[0], orthonormalize(a @ k.basis, tol.null_threshold))
+
+
+def in_subspace(v, k, tol=DEFAULT_TOL):
+    """Membership up to the null threshold; the zero vector is in every subspace."""
+    v = as_vector(v, k.ambient_dim)
+    residual = v - k.basis @ (k.basis.conj().T @ v)
+    return float(np.linalg.norm(residual)) <= tol.null_threshold * max(float(np.linalg.norm(v)), 1.0)
+
+
+def unit(psi, dim, tol):
+    return Ray(as_vector(psi, dim), tol).representative
+
+
+# ---------------------------------------------------------------------------
+# Per-string predicates
+
+
+def vector_inside(mat, v, target, tol):
+    return in_subspace(mat @ v, image_subspace(mat, target, tol), tol)
+
+
+def ray_inside(mat, v, target, tol):
+    w = mat @ v
+    image = image_subspace(mat, target, tol)
+    if float(np.linalg.norm(w)) <= tol.null_threshold:
+        return image.dim < target.dim
+    return in_subspace(w, image, tol)
+
+
+def density_inside(mat, rho, target, tol):
+    reduced = mat @ rho @ mat.conj().T
+    total = float(np.real(np.trace(reduced)))
+    inside = image_subspace(mat, target, tol)
+    kept = float(np.real(np.trace(inside.projector_matrix() @ reduced)))
+    return abs(total - kept) <= tol.null_threshold * max(total, 1.0)
+
+
+def rays_merge(mat, v, w, tol):
+    rv, rw = mat @ v, mat @ w
+    nv = float(np.linalg.norm(rv)) > tol.null_threshold
+    nw = float(np.linalg.norm(rw)) > tol.null_threshold
+    if nv != nw:
+        return False
+    if not nv:
+        return True
+    return ray_equal(rv, rw, tol)
+
+
+# ---------------------------------------------------------------------------
+# The eight valuations, string by string
+
+
+def _members(alphabet, depth, keep):
+    return tuple(q for q in alphabet.monoid.enumerate_strings(depth) if keep(alphabet.reduce(q)))
+
+
+def valuation_vector(alphabet, psi, op, delta, depth):
+    v, target, tol = unit(psi, alphabet.dim, alphabet.tol), op.eigenspace(delta, alphabet.tol), alphabet.tol
+    return _members(alphabet, depth, lambda mat: vector_inside(mat, v, target, tol))
+
+
+def valuation_ray(alphabet, psi, op, delta, depth):
+    v, target, tol = unit(psi, alphabet.dim, alphabet.tol), op.eigenspace(delta, alphabet.tol), alphabet.tol
+    return _members(alphabet, depth, lambda mat: ray_inside(mat, v, target, tol))
+
+
+def valuation_density(alphabet, rho, op, delta, depth):
+    target, tol = op.eigenspace(delta, alphabet.tol), alphabet.tol
+    return _members(alphabet, depth, lambda mat: density_inside(mat, rho.matrix, target, tol))
+
+
+def truth_ray_equal_strings(alphabet, psi, phi, depth):
+    tol = alphabet.tol
+    v, w = unit(psi, alphabet.dim, tol), unit(phi, alphabet.dim, tol)
+    return _members(alphabet, depth, lambda mat: rays_merge(mat, v, w, tol))
+
+
+def context_truth_equal(psi, phi, xi: RaySet, universe: StringUniverse):
+    alphabet = universe.alphabet
+    v, w = unit(psi, alphabet.dim, xi.tol), unit(phi, alphabet.dim, xi.tol)
+    if not (xi.contains(Ray(v, xi.tol)) and xi.contains(Ray(w, xi.tol))):
+        raise ContextError("both states must lie in the context ray set")
+    return tuple(q for q in polar_of_rays(xi, universe)
+                 if ray_equal(alphabet.reduce(q) @ v, alphabet.reduce(q) @ w, alphabet.tol))
+
+
+def context_valuation(psi, op, delta, xi: RaySet, universe: StringUniverse):
+    alphabet = universe.alphabet
+    v = unit(psi, alphabet.dim, xi.tol)
+    if not xi.contains(Ray(v, xi.tol)):
+        raise ContextError("the state must lie in the context ray set")
+    target = op.eigenspace(delta, alphabet.tol)
+    return tuple(q for q in polar_of_rays(xi, universe)
+                 if vector_inside(alphabet.reduce(q), v, target, alphabet.tol))
+
+
+def _reducible(alphabet, q, v):
+    return float(np.linalg.norm(alphabet.reduce(q) @ v)) > alphabet.tol.null_threshold
+
+
+def sieve_truth_equal(alphabet, psi, phi, context):
+    q = alphabet.monoid.check_string(context)
+    v, w = unit(psi, alphabet.dim, alphabet.tol), unit(phi, alphabet.dim, alphabet.tol)
+    if not (_reducible(alphabet, q, v) and _reducible(alphabet, q, w)):
+        raise ContextError("both states must be reducible at the context")
+    p = len(q)
+    return Sieve(q, frozenset(k for k in range(p + 1) if ray_equal(
+        alphabet.reduce(q[p - k:]) @ v, alphabet.reduce(q[p - k:]) @ w, alphabet.tol)))
+
+
+def sieve_valuation(alphabet, psi, op, delta, context):
+    q = alphabet.monoid.check_string(context)
+    v = unit(psi, alphabet.dim, alphabet.tol)
+    if not _reducible(alphabet, q, v):
+        raise ContextError("the state must be reducible at the context")
+    target = op.eigenspace(delta, alphabet.tol)
+    p = len(q)
+    return Sieve(q, frozenset(k for k in range(p + 1) if vector_inside(
+        alphabet.reduce(q[p - k:]), v, target, alphabet.tol)))
