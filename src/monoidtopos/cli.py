@@ -93,11 +93,13 @@ def _load_spec(path: str, eps: Optional[float],
     return result.spec, []
 
 
-def _check_max_dim(spec: SystemSpec, max_dim: int) -> None:
+def _check_limits(spec: SystemSpec, args) -> None:
+    if args.depth < 0:
+        raise CliError(f"--depth must be non-negative, got {args.depth}")
     for name, rq in sorted(spec.quantum.items()):
-        if rq.system.dim > max_dim:
+        if rq.system.dim > args.max_dim:
             raise CliError(f"quantum system {name!r} has dimension {rq.system.dim}, "
-                           f"above --max-dim {max_dim}")
+                           f"above --max-dim {args.max_dim}")
 
 
 def _need(args, mode: str, *flags: str) -> None:
@@ -343,7 +345,7 @@ def cmd_query(spec: SystemSpec, args) -> tuple[dict, Optional[dict]]:
     if sub_args.tol is not None or sub_args.null_threshold is not None:
         raise CliError(f"query {args.name!r} sets a tolerance; set it in the file's "
                        "tolerance block or on the command line")
-    _check_max_dim(spec, sub_args.max_dim)
+    _check_limits(spec, sub_args)
     return sub_args.handler(spec, sub_args)
 
 
@@ -512,7 +514,7 @@ def main(argv: Optional[list[str]] = None) -> int:
             else:
                 args.tol, args.null_threshold = spec.tolerance.eps, spec.tolerance.null_threshold
                 report["tolerance"] = {"eps": args.tol, "null_threshold": args.null_threshold}
-                _check_max_dim(spec, args.max_dim)
+                _check_limits(spec, args)
                 result, universe = args.handler(spec, args)
                 report["result"] = result
                 report["universe"] = universe

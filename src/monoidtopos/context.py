@@ -4,18 +4,18 @@ and sieve-valued contextual truth.
 Polars are computed relative to explicit finite universes: a StringUniverse
 (all strings up to a length bound whose reduction is non-null) and a RaySet
 of candidate rays.  All Galois identities hold exactly for the restricted
-relation "the string does not annihilate the ray".  Each polar evaluates
-that relation as one boolean matrix, rows indexed by strings and columns
-by rays (the norms of the stacked reductions applied to the stacked ray
-representatives, compared with the null threshold), and reduces it with
-``all`` along the rows or the columns.  Ray-set membership is likewise
-one matrix of normalised overlaps.
+relation "the string does not annihilate the ray".  The universe keeps
+its members' reductions, built level by level, as one stack.  Each polar
+evaluates the relation as one boolean matrix on rows of that stack
+(strings) and columns of ray representatives, and reduces it with ``all``
+along the rows or the columns.  Ray-set membership is likewise one matrix
+of normalised overlaps.
 
 The contextual valuations are the two predicates of ``reduction``
 (``in_reduced_eigenspace`` and ``rays_agree``) on two more domains of
-strings: the polar of a context ray set, stacked by
-``ProjectorAlphabet.reductions``, and the tails of one context string,
-stacked as running products from the right.
+strings: the rows of the universe's stack in the polar of a context ray
+set, and the tails of one context string, stacked as running products
+from the right.
 """
 
 from __future__ import annotations
@@ -100,18 +100,21 @@ def in_sp0(alphabet: ProjectorAlphabet, letters: Sequence[str]) -> bool:
 
 
 class StringUniverse:
-    """All strings up to a length bound with non-null reduction."""
+    """All strings up to a length bound with non-null reduction, and their reductions."""
 
     def __init__(self, alphabet: ProjectorAlphabet, max_len: int,
                  budget: int = DEFAULT_STRING_BUDGET):
         self.alphabet = alphabet
         self.max_len = int(max_len)
-        members = []
-        for q in alphabet.monoid.enumerate_strings(self.max_len, budget=budget):
-            if in_sp0(alphabet, q):
-                members.append(q)
+        members, stacks = [], []
+        for strings, stack in alphabet.levels(self.max_len, budget):
+            alive = np.linalg.norm(stack, 2, axis=(1, 2)) > alphabet.tol.null_threshold
+            members += [q for q, a in zip(strings, alive) if a]
+            stacks.append(stack[alive])
+        del stack  # free the last level before its members are copied again
         self.members = tuple(members)
-        self._member_set = frozenset(members)
+        self.reductions = np.concatenate(stacks)
+        self._rows = dict(zip(self.members, range(len(self.members))))
 
     @property
     def tol(self) -> TolerancePolicy:
@@ -121,47 +124,47 @@ class StringUniverse:
         return len(self.members)
 
     def __contains__(self, q) -> bool:
-        return tuple(q) in self._member_set
+        return tuple(q) in self._rows
 
-    def check_subset(self, strings: Iterable[Letters]) -> tuple[Letters, ...]:
-        out = []
-        for q in strings:
-            q = tuple(q)
-            if q not in self._member_set:
-                raise UsageError(f"string {q!r} is outside the universe")
-            out.append(q)
-        return tuple(out)
+    def check_subset(self, strings: Iterable[Letters]) -> np.ndarray:
+        """The rows of the strings in the universe's stack."""
+        try:
+            return np.array([self._rows[tuple(q)] for q in strings], dtype=int)
+        except KeyError as exc:
+            raise UsageError(f"string {exc.args[0]!r} is outside the universe") from None
 
 
-def _non_annihilation(alphabet: ProjectorAlphabet, strings: Sequence[Letters],
-                      rays: RaySet) -> np.ndarray:
+def _non_annihilation(universe: StringUniverse, rows, rays: RaySet) -> np.ndarray:
     """The relation of the Galois connection as a boolean matrix: entry
-    [i, j] is True iff strings[i] does not annihilate rays[j], i.e. its
-    reduction sends the ray's representative above the null threshold."""
-    d = alphabet.dim
+    [i, j] is True iff the universe's string at rows[i] does not annihilate
+    rays[j], i.e. sends the ray's representative above the null threshold."""
+    d = universe.alphabet.dim
     if len(rays) and rays.dim != d:
         raise ContextError(f"ray set has dimension {rays.dim}, "
                            f"but the universe's strings act on dimension {d}")
-    reductions = alphabet.reductions(strings)
+    reductions = universe.reductions[rows]
     vectors = np.array([r.representative for r in rays], dtype=complex).reshape(-1, d).T
-    images = (reductions.reshape(-1, d) @ vectors).reshape(len(strings), d, len(rays))
-    return np.linalg.norm(images, axis=1) > alphabet.tol.null_threshold
+    images = (reductions.reshape(-1, d) @ vectors).reshape(len(reductions), d, len(rays))
+    return np.linalg.norm(images, axis=1) > universe.tol.null_threshold
+
+
+def _polar_rows(xi: RaySet, universe: StringUniverse) -> np.ndarray:
+    """The rows of the universe annihilating no ray of the set."""
+    return np.flatnonzero(_non_annihilation(universe, slice(None), xi).all(axis=1))
 
 
 def polar_of_rays(xi: RaySet, universe: StringUniverse) -> tuple[Letters, ...]:
     """Strings of the universe annihilating no ray of the set (the arrows
     out of the set, relative to the universe)."""
-    members = universe.members
-    keep = _non_annihilation(universe.alphabet, members, xi).all(axis=1)
-    return tuple(q for q, k in zip(members, keep) if k)
+    return tuple(universe.members[i] for i in _polar_rows(xi, universe))
 
 
 def polar_of_strings(universe: StringUniverse, strings: Iterable[Letters],
                      candidates: RaySet) -> RaySet:
     """Rays of the candidate set annihilated by no string of the given
     subset of the universe."""
-    subset = universe.check_subset(strings)
-    keep = _non_annihilation(universe.alphabet, subset, candidates).all(axis=0)
+    rows = universe.check_subset(strings)
+    keep = _non_annihilation(universe, rows, candidates).all(axis=0)
     return candidates.subset(np.flatnonzero(keep).tolist())
 
 
@@ -183,33 +186,31 @@ def _subject(states: Sequence) -> str:
 
 
 def _context_members(xi: RaySet, universe: StringUniverse,
-                     *states) -> tuple[tuple[Letters, ...], list[np.ndarray]]:
-    """The polar of the context and the unit representatives of the states,
-    which must lie in the context ray set."""
+                     *states) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The rows of the universe in the polar of the context and the unit
+    representatives of the states, which must lie in the context ray set."""
     rays = [Ray(as_vector(s, universe.alphabet.dim), xi.tol) for s in states]
     if not all(xi.contains(r) for r in rays):
         raise ContextError(f"{_subject(states)} must lie in the context ray set")
-    return polar_of_rays(xi, universe), [r.representative for r in rays]
+    return _polar_rows(xi, universe), [r.representative for r in rays]
 
 
 def context_truth_equal(psi, phi, xi: RaySet, universe: StringUniverse) -> tuple[Letters, ...]:
     """Strings of the polar of the context merging the two rays; every
     image is non-null by construction of the polar."""
-    alphabet = universe.alphabet
-    polar, (v, w) = _context_members(xi, universe, psi, phi)
-    keep = rays_agree(alphabet.reductions(polar), v, w, alphabet.tol)
-    return tuple(q for q, k in zip(polar, keep) if k)
+    rows, (v, w) = _context_members(xi, universe, psi, phi)
+    keep = rays_agree(universe.reductions[rows], v, w, universe.tol)
+    return tuple(universe.members[i] for i in rows[keep])
 
 
 def context_valuation(psi, op: HermitianOperator, delta, xi: RaySet,
                       universe: StringUniverse) -> tuple[Letters, ...]:
     """Strings of the polar of the context sending the state into the
     reduced eigenspace of the proposition."""
-    alphabet = universe.alphabet
-    polar, (v,) = _context_members(xi, universe, psi)
-    target = op.eigenspace(delta, alphabet.tol)
-    keep = in_reduced_eigenspace(alphabet.reductions(polar), v, target, alphabet.tol)
-    return tuple(q for q, k in zip(polar, keep) if k)
+    rows, (v,) = _context_members(xi, universe, psi)
+    target = op.eigenspace(delta, universe.tol)
+    keep = in_reduced_eigenspace(universe.reductions[rows], v, target, universe.tol)
+    return tuple(universe.members[i] for i in rows[keep])
 
 
 # ---------------------------------------------------------------------------

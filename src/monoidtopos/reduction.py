@@ -10,14 +10,14 @@ stack of reductions, giving one boolean per string:
 ``in_reduced_eigenspace`` (the reduced state lies in the reduced
 eigenspace of a proposition) and ``rays_agree`` (two reduced states can no
 longer be told apart).  The domains of strings only build the stack: here
-the free monoid up to a depth, in ``context`` the polar of a ray set and
-the tails of one context string.  States enter through their unit
-representative, so every valuation depends only on the ray.
+the free monoid one level at a time (no memo), in ``context`` the polar of
+a ray set and the tails of one context string.  States enter through their
+unit representative, so every valuation depends only on the ray.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -25,8 +25,7 @@ from .errors import MissingNameError, UsageError, ValidationError
 from .linalg import (DEFAULT_TOL, HermitianOperator, Projector, Ray, Subspace,
                      TolerancePolicy, ZERO_RAY, RayOrZero, as_matrix, as_vector,
                      is_hermitian, orthonormalize)
-from .strings import (DEFAULT_STRING_BUDGET, BoundedIdeal, Letters,
-                      ProjStringMonoid, bounded_ideal)
+from .strings import DEFAULT_STRING_BUDGET, BoundedIdeal, ProjStringMonoid, bounded_ideal
 
 DEFAULT_DEPTH = 4
 
@@ -48,7 +47,6 @@ class ProjectorAlphabet:
             self.dim = a.shape[0]
             self.matrices[str(name)] = a
         self.monoid = ProjStringMonoid(tuple(self.matrices))
-        self._cache: dict[Letters, np.ndarray] = {(): np.eye(self.dim, dtype=complex)}
 
     def matrix(self, name: str) -> np.ndarray:
         try:
@@ -58,28 +56,21 @@ class ProjectorAlphabet:
 
     def reduce(self, letters: Sequence[str]) -> np.ndarray:
         """Product of the letter matrices in application order (rightmost
-        first); the empty string reduces to the identity.  Memoised along
-        suffixes, so enumerating a string universe reuses every tail."""
-        q = tuple(letters)
-        cached = self._cache.get(q)
-        if cached is not None:
-            return cached
-        j = 1
-        while q[j:] not in self._cache:
-            j += 1
-        # Look every letter up before caching anything, so an unknown
-        # letter leaves the memo untouched.
-        mats = [self.matrix(name) for name in q[:j]]
-        result = self._cache[q[j:]]
-        for i in range(j - 1, -1, -1):
-            result = mats[i] @ result
-            self._cache[q[i:]] = result
+        first); the empty string reduces to the identity."""
+        result = np.eye(self.dim, dtype=complex)
+        for name in reversed(tuple(letters)):
+            result = self.matrix(name) @ result
         return result
 
-    def reductions(self, strings: Sequence[Sequence[str]]) -> np.ndarray:
-        """The reductions of the strings as one (N, d, d) stack."""
-        stack = np.array([self.reduce(q) for q in strings], dtype=complex)
-        return stack.reshape(len(stack), self.dim, self.dim)
+    def levels(self, depth: int, budget: int = DEFAULT_STRING_BUDGET) -> Iterator[tuple]:
+        """The strings of each length k <= depth and their (L**k, d, d) stack
+        of reductions: row a * L**k + i of level k+1 is P_a @ row i of level k."""
+        letters = np.array(list(self.matrices.values()))[:, None]
+        stack = np.eye(self.dim, dtype=complex)[None]
+        for k, strings in enumerate(self.monoid.levels(depth, budget)):
+            if k:
+                stack = (letters @ stack).reshape(-1, self.dim, self.dim)
+            yield strings, stack
 
 
 class DensityMatrix:
@@ -169,13 +160,21 @@ def rays_agree(reductions: np.ndarray, psi: np.ndarray, phi: np.ndarray,
     return np.where(alive_a, alive_b & same, ~alive_b)
 
 
+def _ideal(alphabet: ProjectorAlphabet, keep: Callable[[np.ndarray], np.ndarray],
+           depth: int, budget: int) -> BoundedIdeal:
+    """The strings whose reductions ``keep`` accepts, certified level by level."""
+    return bounded_ideal(
+        alphabet.monoid, lambda strings: keep(np.array([alphabet.reduce(q) for q in strings])),
+        ((strings, keep(stack)) for strings, stack in alphabet.levels(depth, budget)))
+
+
 def _eigenspace_ideal(alphabet: ProjectorAlphabet, state: np.ndarray, op: HermitianOperator,
                       delta, depth: int, budget: int, projective: bool = False) -> BoundedIdeal:
     if op.dim != alphabet.dim:
         raise UsageError("operator dimension does not match the alphabet")
     target = op.eigenspace(delta, alphabet.tol)
-    return bounded_ideal(alphabet.monoid, lambda strings: in_reduced_eigenspace(
-        alphabet.reductions(strings), state, target, alphabet.tol, projective), depth, budget)
+    return _ideal(alphabet, lambda stack: in_reduced_eigenspace(
+        stack, state, target, alphabet.tol, projective), depth, budget)
 
 
 def valuation_vector(alphabet: ProjectorAlphabet, psi, op: HermitianOperator,
@@ -202,8 +201,7 @@ def truth_ray_equal_strings(alphabet: ProjectorAlphabet, psi, phi,
     """Strings after which the two states can no longer be told apart:
     both reductions null, or both non-null on the same ray."""
     v, w = unit_state(alphabet, psi), unit_state(alphabet, phi)
-    return bounded_ideal(alphabet.monoid, lambda strings: rays_agree(
-        alphabet.reductions(strings), v, w, alphabet.tol), depth, budget)
+    return _ideal(alphabet, lambda stack: rays_agree(stack, v, w, alphabet.tol), depth, budget)
 
 
 def valuation_density(alphabet: ProjectorAlphabet, rho: DensityMatrix,

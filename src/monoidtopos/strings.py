@@ -2,22 +2,23 @@
 
 Strings are tuples of letter ids in display order: the leftmost letter is
 applied *last*, so ``concat(q, r)`` lists q's letters before r's and r acts
-first.  Ideals of the free monoid are infinite, so they are represented by
-a membership predicate plus a witness cache verified up to a fixed depth.
-The predicate is batched: it maps a list of strings to one boolean per
-string, and ``bounded_ideal`` feeds it the enumeration in batches.
+first.  Strings are enumerated one length (level) at a time, ``(a,) + q``
+at index ``a * L**k + index(q)`` of level k+1.  Ideals of the free monoid
+are infinite: a membership predicate plus one boolean array per level up
+to a depth, certified by comparing each level with the next.  No memo.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
+
+import numpy as np
 
 from .errors import CapacityError, PreconditionError, UsageError
 
 DEFAULT_STRING_BUDGET = 1 << 20
-PREDICATE_BATCH = 256
 
 Letters = tuple[str, ...]
 Predicate = Callable[[Sequence[Letters]], Sequence[bool]]
@@ -56,16 +57,22 @@ class ProjStringMonoid:
             return max_len + 1
         return (a ** (max_len + 1) - 1) // (a - 1) if a else 1
 
+    def levels(self, max_len: int, budget: int = DEFAULT_STRING_BUDGET) -> Iterator[list[Letters]]:
+        """Strings of each length 0..max_len: level k+1 is each letter (slowest) + level k."""
+        if max_len < 0:
+            raise PreconditionError("max_len must be non-negative")
+        if (count := self.count_strings(max_len)) > budget:
+            raise CapacityError(f"{count} strings exceed budget {budget}")
+        level = [()]
+        yield level
+        for _ in range(max_len):
+            level = [(a,) + q for a in self.alphabet for q in level]
+            yield level
+
     def enumerate_strings(self, max_len: int,
                           budget: int = DEFAULT_STRING_BUDGET) -> Iterator[Letters]:
         """All strings of length <= max_len, shortest first, each exactly once."""
-        if max_len < 0:
-            raise PreconditionError("max_len must be non-negative")
-        if self.count_strings(max_len) > budget:
-            raise CapacityError(
-                f"{self.count_strings(max_len)} strings exceed budget {budget}")
-        for k in range(max_len + 1):
-            yield from itertools.product(self.alphabet, repeat=k)
+        yield from itertools.chain.from_iterable(self.levels(max_len, budget))
 
 
 @dataclass(frozen=True)
@@ -99,21 +106,13 @@ class BoundedIdeal:
 
 
 def bounded_ideal(monoid: ProjStringMonoid, predicate: Predicate,
-                  depth: int, budget: int = DEFAULT_STRING_BUDGET) -> BoundedIdeal:
-    """Evaluate a batched membership predicate on all strings up to
-    ``depth``, shortest first, and certify the left-ideal property
-    (single-letter extensions suffice, since longer prefixes factor
-    through them)."""
-    strings = monoid.enumerate_strings(depth, budget=budget)
-    members = []
-    while batch := list(itertools.islice(strings, PREDICATE_BATCH)):
-        members += [q for q, keep in zip(batch, predicate(batch)) if keep]
-    member_set = set(members)
-    violations = []
-    for q in members:
-        if len(q) >= depth:
-            continue
-        for p in monoid.alphabet:
-            if (p,) + q not in member_set:
-                violations.append((p, q))
-    return BoundedIdeal(monoid, predicate, depth, tuple(members), tuple(violations))
+                  levels: Iterable[tuple[Sequence[Letters], np.ndarray]]) -> BoundedIdeal:
+    """The ideal that ``kept`` marks on each (strings, kept) level of ``monoid.levels``;
+    violations are the single-letter extensions leaving it, by member, then letter
+    (longer prefixes factor through them).  ``predicate`` answers ``in``."""
+    levels, width = list(levels), len(monoid.alphabet)
+    members = [q for strings, kept in levels for q in itertools.compress(strings, kept)]
+    violations = [(monoid.alphabet[a], shorter[i])
+                  for (shorter, was), (_, kept) in itertools.pairwise(levels)
+                  for i, a in zip(*(was & ~kept.reshape(width, len(shorter))).T.nonzero())]
+    return BoundedIdeal(monoid, predicate, len(levels) - 1, tuple(members), tuple(violations))

@@ -278,6 +278,28 @@ def test_cli_enforces_max_dim_from_a_query_entry(tmp_path):
         "quantum system 'Q' has dimension 2, above --max-dim 1")
 
 
+@pytest.mark.parametrize("argv,depth", [
+    (RUNS["valuate_vector"] + ["--depth", "-1"], -1),
+    (RUNS["equal_sp"] + ["--depth", "-2"], -2),
+])
+def test_cli_rejects_a_negative_depth(argv, depth):
+    code, out = run_cli(argv)
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["status"] == "error"
+    assert payload["diagnostics"][0]["message"] == (
+        f"--depth must be non-negative, got {depth}")
+
+
+def test_cli_rejects_a_negative_depth_from_a_query_entry(tmp_path):
+    path = fixture_with(tmp_path, "query deep { run valuate; system Q; state psi; op A; "
+                                  "range {1}; alphabet (Pz,Pplus); depth -1; }")
+    code, out = run_cli(["query", path, "deep"])
+    assert code == 1
+    assert json.loads(out)["diagnostics"][0]["message"] == (
+        "--depth must be non-negative, got -1")
+
+
 @pytest.mark.parametrize("flag", ["--subset", "--subset2"])
 def test_cli_truth_rejects_subset_entries_that_are_not_integers(flag):
     code, out = run_cli(["truth", FIXTURE, "--mset", "Pts", "--kind", "leq", flag, "{1.5}"])

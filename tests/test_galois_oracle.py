@@ -20,6 +20,7 @@ from monoidtopos.errors import StructureError, UsageError, ValidationError
 from monoidtopos.linalg import DEFAULT_TOL, Ray, TolerancePolicy, ray_equal
 from monoidtopos.reduction import ProjectorAlphabet
 from tests.conftest import PPLUS, PZ
+from tests.valuation_oracle import reduce
 
 # The default policy, and one whose null threshold differs from its eps.
 POLICIES = [DEFAULT_TOL, TolerancePolicy(eps=1e-9, null_threshold=1e-6)]
@@ -30,7 +31,7 @@ POLICIES = [DEFAULT_TOL, TolerancePolicy(eps=1e-9, null_threshold=1e-6)]
 
 
 def annihilates(alphabet, q, ray) -> bool:
-    image = alphabet.reduce(q) @ ray.representative
+    image = reduce(alphabet, q) @ ray.representative
     return float(np.linalg.norm(image)) <= alphabet.tol.null_threshold
 
 
@@ -41,7 +42,9 @@ def oracle_polar_of_rays(xi, universe):
 
 
 def oracle_polar_of_strings(universe, strings, candidates):
-    subset = universe.check_subset(strings)
+    subset = [tuple(q) for q in strings]
+    if any(q not in universe.members for q in subset):
+        raise UsageError("string is outside the universe")
     alphabet = universe.alphabet
     return tuple(ray for ray in candidates.rays
                  if all(not annihilates(alphabet, q, ray) for q in subset))
@@ -87,7 +90,7 @@ def near_threshold_vector(alphabet, q, rng, side: int) -> np.ndarray:
     """A unit vector that the string's reduction sends to a norm of
     null_threshold * (1 + side * 1e-6): a kernel vector tilted towards the
     top right singular vector."""
-    _, sigma, vh = np.linalg.svd(alphabet.reduce(q))
+    _, sigma, vh = np.linalg.svd(reduce(alphabet, q))
     kernel = vh[sigma <= 1e-12].conj().T
     k = kernel @ random_state(rng, kernel.shape[1])
     top = vh[0].conj()
@@ -116,7 +119,7 @@ def candidate_vectors(alphabet, universe, rng):
     vectors = ([tie_vector(tol)] if dim == 2 else []) + list(np.eye(dim))
     near = []
     kernel_strings = [q for q in universe.members
-                      if np.linalg.svd(alphabet.reduce(q), compute_uv=False)[-1] <= 1e-12]
+                      if np.linalg.svd(reduce(alphabet, q), compute_uv=False)[-1] <= 1e-12]
     for n, q in enumerate(kernel_strings[:12]):
         side = 1 if n % 2 else -1
         near.append((q, side, Ray(near_threshold_vector(alphabet, q, rng, side), tol)))

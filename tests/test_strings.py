@@ -1,11 +1,12 @@
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from monoidtopos.errors import CapacityError, PreconditionError, UsageError
-from monoidtopos.strings import PREDICATE_BATCH, ProjStringMonoid, bounded_ideal
+from monoidtopos.strings import ProjStringMonoid, bounded_ideal
 
 ABC = ProjStringMonoid(("P", "Q", "R"))
 
@@ -69,9 +70,18 @@ def test_enumerate_budget():
         list(ABC.enumerate_strings(-1))
 
 
+def ideal_of(monoid, keep, depth):
+    """The ideal of the strings that ``keep`` accepts, given level by level."""
+    def predicate(qs):
+        return [keep(q) for q in qs]
+    return bounded_ideal(monoid, predicate, (
+        (strings, np.array(predicate(strings), dtype=bool))
+        for strings in monoid.levels(depth)))
+
+
 def test_bounded_ideal_certificate_clean():
     # strings containing P form a left ideal: prepending letters keeps P
-    ideal = bounded_ideal(ABC, lambda qs: ["P" in q for q in qs], depth=3)
+    ideal = ideal_of(ABC, lambda q: "P" in q, depth=3)
     assert not ideal.violations
     assert ideal.certificate == {"depth": 3, "violations": []}
     assert ("P",) in ideal and ("Q",) not in ideal
@@ -80,32 +90,36 @@ def test_bounded_ideal_certificate_clean():
 
 def test_bounded_ideal_detects_violation():
     # strings of even length are not a left ideal
-    ideal = bounded_ideal(ABC, lambda qs: [len(q) % 2 == 0 for q in qs], depth=3)
+    ideal = ideal_of(ABC, lambda q: len(q) % 2 == 0, depth=3)
     assert ideal.violations
     letter, member = ideal.violations[0]
     assert letter in ABC.alphabet and len(member) % 2 == 0
 
 
 def test_bounded_ideal_members_exhaustive():
-    ideal = bounded_ideal(ABC, lambda qs: [q[:1] != ("R",) for q in qs], depth=2)
+    ideal = ideal_of(ABC, lambda q: q[:1] != ("R",), depth=2)
     expected = [q for q in ABC.enumerate_strings(2) if q[:1] != ("R",)]
     assert list(ideal.members) == expected
 
 
-def test_bounded_ideal_batches_the_enumeration():
-    # full batches in enumeration order, then the rest
-    batches = []
+def test_bounded_ideal_takes_one_kept_array_per_level():
+    # bounded_ideal reads one kept array per level, in ``levels`` order, and
+    # calls the predicate only for ``in``, on one-string lists
+    read, asked = [], []
+
+    def levels():
+        for strings in ABC.levels(6):
+            read.append(list(strings))
+            yield strings, np.array([q[:1] != ("R",) for q in strings])
 
     def predicate(qs):
-        batches.append(list(qs))
+        asked.append(list(qs))
         return [q[:1] != ("R",) for q in qs]
 
-    ideal = bounded_ideal(ABC, predicate, depth=6)
-    full, rest = divmod(ABC.count_strings(6), PREDICATE_BATCH)
-    assert full >= 2 and rest
-    assert [len(b) for b in batches] == [PREDICATE_BATCH] * full + [rest]
-    assert [q for b in batches for q in b] == list(ABC.enumerate_strings(6))
+    ideal = bounded_ideal(ABC, predicate, levels())
+    assert read == [list(itertools.product("PQR", repeat=k)) for k in range(7)]
+    assert asked == []
+    assert ideal.max_verified_length == 6
     assert list(ideal.members) == [q for q in ABC.enumerate_strings(6) if q[:1] != ("R",)]
-    batches.clear()
     assert ("R", "P") not in ideal and ("P", "R") in ideal
-    assert batches == [[("R", "P")], [("P", "R")]]
+    assert asked == [[("R", "P")], [("P", "R")]]

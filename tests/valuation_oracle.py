@@ -3,10 +3,14 @@
 These are the loops that the batched proposition kernel of ``reduction``
 replaced: one string at a time, one reduction, one Gram-Schmidt over the
 reduced eigenspace basis and one membership test.  They use their own
-per-column Gram-Schmidt, ``image_subspace`` and ``in_subspace``, so they
-share no numerics with the kernel.  States enter through their unit
-representative, as in the package.
+suffix-memoised ``reduce``, per-column Gram-Schmidt, ``image_subspace``
+and ``in_subspace``, so they share no numerics with the level stacks or
+the kernel.  States enter through their unit representative, as in the
+package.
 """
+
+import itertools
+import weakref
 
 import numpy as np
 
@@ -54,6 +58,41 @@ def in_subspace(v, k, tol=DEFAULT_TOL):
     return float(np.linalg.norm(residual)) <= tol.null_threshold * max(float(np.linalg.norm(v)), 1.0)
 
 
+_MEMOS = weakref.WeakKeyDictionary()
+
+
+def reduce(alphabet, letters):
+    """Reference reduction: the letter matrices multiplied right to left,
+    memoised along suffixes per alphabet, so every tail of a long context
+    costs one product.  Looks every letter up before memoising anything."""
+    memo = _MEMOS.setdefault(alphabet, {(): np.eye(alphabet.dim, dtype=complex)})
+    q = tuple(letters)
+    if q in memo:
+        return memo[q]
+    j = 1
+    while q[j:] not in memo:
+        j += 1
+    mats = [alphabet.matrix(name) for name in q[:j]]
+    result = memo[q[j:]]
+    for i in range(j - 1, -1, -1):
+        result = mats[i] @ result
+        memo[q[i:]] = result
+    return result
+
+
+def bounded_ideal(monoid, predicate, depth):
+    """Reference certificate: the members among all strings up to the depth
+    (shortest first, then in ``itertools.product`` order), and each
+    (letter, member) pair whose one-letter extension leaves them, found
+    with a set lookup, listed by member, then by letter."""
+    strings = [q for k in range(depth + 1) for q in itertools.product(monoid.alphabet, repeat=k)]
+    members = [q for q, keep in zip(strings, predicate(strings)) if keep]
+    member_set = set(members)
+    violations = [(p, q) for q in members if len(q) < depth
+                  for p in monoid.alphabet if (p,) + q not in member_set]
+    return tuple(members), tuple(violations)
+
+
 def unit(psi, dim, tol):
     return Ray(as_vector(psi, dim), tol).representative
 
@@ -98,7 +137,7 @@ def rays_merge(mat, v, w, tol):
 
 
 def _members(alphabet, depth, keep):
-    return tuple(q for q in alphabet.monoid.enumerate_strings(depth) if keep(alphabet.reduce(q)))
+    return tuple(q for q in alphabet.monoid.enumerate_strings(depth) if keep(reduce(alphabet, q)))
 
 
 def valuation_vector(alphabet, psi, op, delta, depth):
@@ -128,7 +167,7 @@ def context_truth_equal(psi, phi, xi: RaySet, universe: StringUniverse):
     if not (xi.contains(Ray(v, xi.tol)) and xi.contains(Ray(w, xi.tol))):
         raise ContextError("both states must lie in the context ray set")
     return tuple(q for q in polar_of_rays(xi, universe)
-                 if ray_equal(alphabet.reduce(q) @ v, alphabet.reduce(q) @ w, alphabet.tol))
+                 if ray_equal(reduce(alphabet, q) @ v, reduce(alphabet, q) @ w, alphabet.tol))
 
 
 def context_valuation(psi, op, delta, xi: RaySet, universe: StringUniverse):
@@ -138,11 +177,11 @@ def context_valuation(psi, op, delta, xi: RaySet, universe: StringUniverse):
         raise ContextError("the state must lie in the context ray set")
     target = op.eigenspace(delta, alphabet.tol)
     return tuple(q for q in polar_of_rays(xi, universe)
-                 if vector_inside(alphabet.reduce(q), v, target, alphabet.tol))
+                 if vector_inside(reduce(alphabet, q), v, target, alphabet.tol))
 
 
 def _reducible(alphabet, q, v):
-    return float(np.linalg.norm(alphabet.reduce(q) @ v)) > alphabet.tol.null_threshold
+    return float(np.linalg.norm(reduce(alphabet, q) @ v)) > alphabet.tol.null_threshold
 
 
 def sieve_truth_equal(alphabet, psi, phi, context):
@@ -152,7 +191,7 @@ def sieve_truth_equal(alphabet, psi, phi, context):
         raise ContextError("both states must be reducible at the context")
     p = len(q)
     return Sieve(q, frozenset(k for k in range(p + 1) if ray_equal(
-        alphabet.reduce(q[p - k:]) @ v, alphabet.reduce(q[p - k:]) @ w, alphabet.tol)))
+        reduce(alphabet, q[p - k:]) @ v, reduce(alphabet, q[p - k:]) @ w, alphabet.tol)))
 
 
 def sieve_valuation(alphabet, psi, op, delta, context):
@@ -163,4 +202,4 @@ def sieve_valuation(alphabet, psi, op, delta, context):
     target = op.eigenspace(delta, alphabet.tol)
     p = len(q)
     return Sieve(q, frozenset(k for k in range(p + 1) if vector_inside(
-        alphabet.reduce(q[p - k:]), v, target, alphabet.tol)))
+        reduce(alphabet, q[p - k:]), v, target, alphabet.tol)))
