@@ -15,6 +15,8 @@ from .linalg import (DEFAULT_TOL, HermitianOperator, TolerancePolicy,
                      hermitian_eig, orthonormalize)
 from .monoid import FiniteMonoid, submonoid_closure, verify_associativity
 
+RANDOM_MONOID_ATTEMPTS = 20000
+
 
 def all_monoids_upto_iso(size: int) -> list[FiniteMonoid]:
     """All monoids of the exact size, one per isomorphism class, by brute
@@ -70,8 +72,7 @@ def _canonical_key(m: FiniteMonoid) -> tuple:
     return (n, best)
 
 
-def random_monoids(seed: int, count: int, sizes: Iterable[int] = (4, 5),
-                   max_attempts: int = 20000) -> list[FiniteMonoid]:
+def random_monoids(seed: int, count: int, sizes: Iterable[int] = (4, 5)) -> list[FiniteMonoid]:
     """Random valid monoid tables of the requested sizes, found by closing
     random generators inside map monoids and keeping closures whose size
     fits.  Results are deduplicated up to isomorphism."""
@@ -79,7 +80,7 @@ def random_monoids(seed: int, count: int, sizes: Iterable[int] = (4, 5),
     wanted = set(int(s) for s in sizes)
     found: list[FiniteMonoid] = []
     seen: set[tuple] = set()
-    for _ in range(max_attempts):
+    for _ in range(RANDOM_MONOID_ATTEMPTS):
         if len(found) >= count:
             break
         k = int(rng.integers(2, 5))

@@ -577,16 +577,10 @@ def _resolve(decls: list, diagnostics: list[Diagnostic], eps: Optional[float],
             elif isinstance(d, QuantumDecl):
                 spec.quantum[d.name] = _resolve_quantum(d, tolerance)
             elif isinstance(d, RaySetDecl):
-                spec.lookup(spec.quantum, d.system, "quantum system")
-                rq = spec.quantum[d.system]
-                for s in d.rays:
-                    rq.state(s)
                 spec.raysets[d.name] = d
                 spec.rayset(d.name)
             elif isinstance(d, UniverseDecl):
-                spec.lookup(spec.quantum, d.system, "quantum system")
-                for p in d.alphabet:
-                    spec.lookup(spec.quantum[d.system].projectors, p, "projector")
+                spec.alphabet_for(d.system, d.alphabet)
                 if d.depth < 0:
                     raise MonoidToposError("depth must be non-negative")
                 spec.universes[d.name] = d
@@ -613,6 +607,11 @@ def _infer_values(matrices: list, tol: TolerancePolicy) -> tuple[float, ...]:
 def _resolve_quantum(d: QuantumDecl, tol: TolerancePolicy) -> ResolvedQuantum:
     if d.dim < 1:
         raise MonoidToposError(f"dimension must be positive, got {d.dim}")
+    names: set[str] = set()
+    for m in d.members:
+        if m.name in names:
+            raise MonoidToposError(f"duplicate member name {m.name!r}")
+        names.add(m.name)
     operators = {m.name: as_matrix(m.matrix, d.dim)
                  for m in d.members if isinstance(m, MatrixMemberDecl) and m.kind == "operator"}
     values = d.values
@@ -622,24 +621,16 @@ def _resolve_quantum(d: QuantumDecl, tol: TolerancePolicy) -> ResolvedQuantum:
     projectors = {}
     states = {}
     densities = {}
-    member_names = set(operators)
     for m in d.members:
-        if isinstance(m, MatrixMemberDecl) and m.kind != "operator":
-            if m.name in member_names:
-                raise MonoidToposError(f"duplicate member name {m.name!r}")
-            member_names.add(m.name)
-            if m.kind == "projector":
-                projectors[m.name] = Projector(as_matrix(m.matrix, d.dim), tol).matrix
-            else:
-                densities[m.name] = DensityMatrix(as_matrix(m.matrix, d.dim), tol)
-        elif isinstance(m, StateMemberDecl):
-            if m.name in member_names:
-                raise MonoidToposError(f"duplicate member name {m.name!r}")
-            member_names.add(m.name)
+        if isinstance(m, StateMemberDecl):
             v = as_vector(m.vector, d.dim)
             if float(np.linalg.norm(v)) <= tol.null_threshold:
                 raise MonoidToposError(f"state {m.name!r} is null")
             states[m.name] = v
+        elif m.kind == "projector":
+            projectors[m.name] = Projector(as_matrix(m.matrix, d.dim), tol).matrix
+        elif m.kind == "density":
+            densities[m.name] = DensityMatrix(as_matrix(m.matrix, d.dim), tol)
     return ResolvedQuantum(system, projectors, states, densities)
 
 

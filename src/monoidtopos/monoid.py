@@ -1,9 +1,11 @@
 """Finite monoids and the Heyting algebra of their left ideals.
 
 Elements of a monoid are the indices ``0..size-1``; the multiplication
-table is stored densely.  Left ideals are bitmasks over element indices,
-so all lattice operations are integer operations and every law can be
-checked exhaustively at desk scale.
+table is stored densely.  Left ideals are bitmasks over element indices.
+Every left ideal is the union of the principal ideals ``Mx`` inside it, so
+:func:`heyting_report` codes each ideal by one bit per distinct principal
+ideal and checks every law, on every pair and triple of ideals, as numpy
+identities on those codes.
 """
 
 from __future__ import annotations
@@ -66,13 +68,7 @@ class FiniteMonoid:
     def reach_masks(self) -> tuple[int, ...]:
         """For each element x, the bitmask of {m*x | m in M} (its principal left ideal)."""
         if self._reach is None:
-            masks = []
-            for x in range(self.size):
-                mask = 0
-                for m in range(self.size):
-                    mask |= 1 << self.table[m][x]
-                masks.append(mask)
-            self._reach = tuple(masks)
+            self._reach = tuple(sum(1 << p for p in set(column)) for column in zip(*self.table))
         return self._reach
 
     def empty_ideal(self) -> "LeftIdeal":
@@ -178,11 +174,8 @@ def ideal_action(m: int, ideal: LeftIdeal) -> LeftIdeal:
     mon = ideal.monoid
     if not 0 <= m < mon.size:
         raise UsageError(f"element index {m} out of range")
-    mask = 0
-    for mp in range(mon.size):
-        if ideal.mask >> mon.table[mp][m] & 1:
-            mask |= 1 << mp
-    return LeftIdeal(mon, mask)
+    return LeftIdeal(mon, sum(1 << mp for mp in range(mon.size)
+                              if ideal.mask >> mon.table[mp][m] & 1))
 
 
 def heyting_implies(lhs: LeftIdeal, rhs: LeftIdeal) -> LeftIdeal:
@@ -223,10 +216,7 @@ def _ideals_by_closure(m: FiniteMonoid) -> list[int]:
         found.add(mask)
         if len(found) > IDEAL_COUNT_CAP:
             raise CapacityError("ideal lattice exceeds configured cap")
-        for p in principal:
-            union = mask | p
-            if union not in found:
-                frontier.append(union)
+        frontier.extend(mask | p for p in principal if mask | p not in found)
     return list(found)
 
 
@@ -241,12 +231,7 @@ def map_monoid(k: int) -> FiniteMonoid:
         raise StructureError("need at least one point")
     if k ** k > MONOID_SIZE_CAP:
         raise CapacityError(f"map monoid on {k} points exceeds size cap")
-    maps = list(itertools.product(range(k), repeat=k))
-    index = {f: i for i, f in enumerate(maps)}
-    table = [[index[tuple(f[g[x]] for x in range(k))] for g in maps] for f in maps]
-    identity = index[tuple(range(k))]
-    names = ["f" + "".join(str(v) for v in f) for f in maps]
-    return FiniteMonoid(table, identity=identity, names=names)
+    return _composition_monoid(map_monoid_values(k))
 
 
 def map_monoid_values(k: int) -> list[tuple[int, ...]]:
@@ -279,11 +264,17 @@ def submonoid_closure(generator_maps: Iterable[tuple[int, ...]], k: int,
                         raise CapacityError("closure exceeded size cap")
                     nxt.append(h)
         frontier = nxt
-    ordered = sorted(elems)
-    index = {f: i for i, f in enumerate(ordered)}
-    table = [[index[tuple(f[g[x]] for x in range(k))] for g in ordered] for f in ordered]
-    names = ["f" + "".join(str(v) for v in f) for f in ordered]
-    return FiniteMonoid(table, identity=index[ident], names=names)
+    return _composition_monoid(sorted(elems))
+
+
+def _composition_monoid(maps: list[tuple[int, ...]]) -> FiniteMonoid:
+    """The sorted self-maps of {0..k-1} (the identity among them) under
+    composition, each named 'f' followed by its value digits."""
+    k = len(maps[0])
+    index = {f: i for i, f in enumerate(maps)}
+    table = [[index[tuple(f[g[x]] for x in range(k))] for g in maps] for f in maps]
+    names = ["f" + "".join(str(v) for v in f) for f in maps]
+    return FiniteMonoid(table, identity=index[tuple(range(k))], names=names)
 
 
 # ---------------------------------------------------------------------------
@@ -300,58 +291,70 @@ HEYTING_LAW_NAMES = (
 def heyting_report(m: FiniteMonoid) -> dict:
     """Exhaustively verify the Heyting-algebra laws on the ideal lattice.
 
+    Bit j of an ideal's code is set iff ``principal[j]`` lies inside it;
+    codes are ``uint64`` up to 64 principal ideals and Python ints beyond.
+    Meet and join are ``&`` and ``|``, and bit j of ``a => b`` is set iff
+    ``down[j] & a & ~b == 0``, where ``down[j]`` codes ``principal[j]``.
+
     Returns a dict with the ideal count, a pass/fail flag per law, and the
     list of ideals witnessing failure of excluded middle (join with their
     negation below the full ideal).
     """
     ideals = enumerate_left_ideals(m)
-    masks = [i.mask for i in ideals]
-    mask_set = set(masks)
-    full = (1 << m.size) - 1
-    laws = {name: True for name in HEYTING_LAW_NAMES}
+    principal = sorted(set(m.reach_masks()))
+    dtype = np.uint64 if len(principal) <= 64 else object
 
-    imp = {}
-    neg = {}
-    for a in ideals:
-        for b in ideals:
-            imp[a.mask, b.mask] = heyting_implies(a, b).mask
-        neg[a.mask] = imp[a.mask, 0]
+    def encode(masks):
+        return np.array([sum(1 << j for j, p in enumerate(principal) if p & ~mask == 0)
+                         for mask in masks], dtype=dtype)
 
-    for x in masks:
-        if neg[x] not in mask_set:
-            laws["closure_not"] = False
-        if x & x != x or x | x != x:
-            laws["idempotent"] = False
-        if not (x & full == x and x | 0 == x and x | full == full and x & 0 == 0):
-            laws["bounds"] = False
-    for x in masks:
-        for y in masks:
-            if (x & y) not in mask_set:
-                laws["closure_meet"] = False
-            if (x | y) not in mask_set:
-                laws["closure_join"] = False
-            if imp[x, y] not in mask_set:
-                laws["closure_implies"] = False
-            if x & y != y & x or x | y != y | x:
-                laws["commutative"] = False
-            if x & (x | y) != x or x | (x & y) != x:
-                laws["absorption"] = False
-    for x in masks:
-        for y in masks:
-            for z in masks:
-                if (x & y) & z != x & (y & z) or (x | y) | z != x | (y | z):
-                    laws["associative"] = False
-                if x & (y | z) != (x & y) | (x & z) or x | (y & z) != (x | y) & (x | z):
-                    laws["distributive"] = False
-                if ((z & x) & ~y == 0) != (z & ~imp[x, y] == 0):
-                    laws["residuation"] = False
+    codes, down = encode(i.mask for i in ideals), encode(principal)
+    empty, full = encode([0, (1 << m.size) - 1])
 
-    witnesses = [LeftIdeal(m, x) for x in masks if x | neg[x] != full]
+    def implies(a, b):
+        outside = a & ~b
+        out = np.zeros(outside.shape, dtype=dtype)
+        for j, d in enumerate(down):
+            out[d & outside == 0] |= 1 << j
+        return out
+
+    ordered = np.sort(codes)   # np.isin would import numpy.ma through np.unique
+
+    def closed(values):
+        at = np.minimum(np.searchsorted(ordered, values), len(ordered) - 1)
+        return (ordered[at] == values).all()
+
+    # pair laws over the (x, y) plane; triple laws for each x over (y, z)
+    a, b = codes[:, None], codes[None, :]
+    meet, join, imp, neg = a & b, a | b, implies(a, b), implies(codes, empty)
+    z_not_y = b & ~a
+    triple = np.ones(3, dtype=bool)
+    for x, imp_x in zip(codes, imp):
+        triple &= [((x & a & b == x & meet) & (x | a | b == x | join)).all(),
+                   ((x & join == (x & a) | (x & b)) & (x | meet == (x | a) & (x | b))).all(),
+                   ((x & z_not_y == 0) == (b & ~imp_x[:, None] == 0)).all()]
+    associative, distributive, residuation = triple
+    laws = {
+        "closure_meet": closed(meet),
+        "closure_join": closed(join),
+        "closure_implies": closed(imp),
+        "closure_not": closed(neg),
+        "commutative": ((meet == b & a) & (join == b | a)).all(),
+        "associative": associative,
+        "idempotent": ((codes & codes == codes) & (codes | codes == codes)).all(),
+        "absorption": ((a & join == a) & (a | meet == a)).all(),
+        "bounds": ((codes & full == codes) & (codes | empty == codes)
+                   & (codes | full == full) & (codes & empty == empty)).all(),
+        "distributive": distributive,
+        "residuation": residuation,
+    }
+    laws = {name: bool(laws[name]) for name in HEYTING_LAW_NAMES}
     return {
         "size": m.size,
         "ideal_count": len(ideals),
         "ideals": [i.member_names() for i in ideals],
         "laws": laws,
         "all_laws_hold": all(laws.values()),
-        "excluded_middle_failures": [w.member_names() for w in witnesses],
+        "excluded_middle_failures": [ideals[i].member_names()
+                                     for i in np.flatnonzero(codes | neg != full)],
     }

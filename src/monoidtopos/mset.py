@@ -135,6 +135,7 @@ def is_invariant(x: MSet, subset: Iterable[Point]) -> bool:
 def truth_in_invariant(x: MSet, point: Point, subset: Iterable[Point]) -> LeftIdeal:
     """The elements sending the point into the fixed invariant subset."""
     s = _as_subset(x, subset)
+    x.index(point)
     if not is_invariant(x, s):
         raise ValidationError("subset is not invariant under the action")
     return x.monoid.ideal(m for m in range(x.monoid.size) if x.act(m, point) in s)

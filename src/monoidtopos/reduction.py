@@ -39,6 +39,7 @@ class ProjectorAlphabet:
         if not items:
             raise UsageError("alphabet needs at least one letter")
         self.tol = tol
+        self.monoid = ProjStringMonoid(tuple(name for name, _ in items))
         self.matrices: dict[str, np.ndarray] = {}
         for name, matrix in items:
             a = Projector(matrix, tol).matrix
@@ -46,7 +47,6 @@ class ProjectorAlphabet:
                 raise ValidationError("letters must share one dimension")
             self.dim = a.shape[0]
             self.matrices[str(name)] = a
-        self.monoid = ProjStringMonoid(tuple(self.matrices))
 
     def matrix(self, name: str) -> np.ndarray:
         try:
@@ -78,7 +78,7 @@ class DensityMatrix:
 
     __slots__ = ("matrix",)
 
-    def __init__(self, matrix, tol: TolerancePolicy = DEFAULT_TOL, normalize: bool = True):
+    def __init__(self, matrix, tol: TolerancePolicy = DEFAULT_TOL):
         from .linalg import hermitian_eig
 
         a = as_matrix(matrix)
@@ -91,7 +91,7 @@ class DensityMatrix:
         trace = float(np.real(np.trace(a)))
         if trace <= tol.null_threshold:
             raise ValidationError("density matrix must have positive trace")
-        self.matrix = a / trace if normalize else a
+        self.matrix = a / trace
 
     @property
     def dim(self) -> int:

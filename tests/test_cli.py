@@ -309,6 +309,26 @@ def test_cli_truth_rejects_subset_entries_that_are_not_integers(flag):
     assert "'{1.5}' has an entry that is not a point index" in payload["diagnostics"][0]["message"]
 
 
+def test_cli_truth_invariant_rejects_a_point_outside_the_carrier():
+    code, out = run_cli(["truth", FIXTURE, "--mset", "Pts", "--kind", "invariant",
+                         "--point", "7", "--subset", "{1}"])
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["status"] == "error"
+    assert payload["diagnostics"][0]["message"] == "7 is not a carrier point"
+
+
+@pytest.mark.parametrize("name", ["valuate_vector", "equal_sp"])
+def test_cli_rejects_repeated_alphabet_letters(name):
+    argv = list(RUNS[name])
+    argv[argv.index("--alphabet") + 1] = "(Pz,Pz)"
+    code, out = run_cli(argv)
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["status"] == "error"
+    assert payload["diagnostics"][0]["message"] == "alphabet letters must be distinct"
+
+
 # A second quantum system of dimension 3 beside the fixture's qubit Q.
 QUTRIT_SYSTEM = """
 quantum R {

@@ -96,6 +96,25 @@ def test_invariant_violations_are_diagnostics():
     assert not result.ok and "action law" in result.diagnostics[0].message
 
 
+def test_repeated_universe_letters_are_a_diagnostic_at_the_universe():
+    src = QUBIT_SRC + "universe W { system Q; alphabet (Pz,Pz); depth 2; }\n"
+    line = src.count("\n", 0, src.index("universe W")) + 1
+    result = parse_spec(src)
+    assert [(d.line, d.col, d.message) for d in result.diagnostics] == [
+        (line, 1, "alphabet letters must be distinct")]
+
+
+@pytest.mark.parametrize("members", [
+    "operator A { matrix [[1,0],[0,-1]]; } operator A { matrix [[0,1],[1,0]]; }",
+    "operator A { matrix [[1,0],[0,-1]]; } state A [1,0];",
+    "projector P { matrix [[1,0],[0,0]]; } density P [[1,0],[0,0]];",
+])
+def test_repeated_member_names_are_a_diagnostic(members):
+    result = parse_spec("quantum Q { dim 2; values {1,-1}; " + members + " }")
+    assert [(d.line, d.col, d.message) for d in result.diagnostics] == [
+        (1, 1, f"duplicate member name {members.split()[1]!r}")]
+
+
 def test_duplicate_names_rejected():
     result = parse_spec("monoid M { elements 1; table [[0]]; }\n"
                         "monoid M { elements 1; table [[0]]; }")

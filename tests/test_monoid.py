@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from monoidtopos.errors import CapacityError, StructureError, UsageError
-from monoidtopos.monoid import (FiniteMonoid, LeftIdeal, enumerate_left_ideals,
-                                heyting_implies, heyting_not, heyting_report,
-                                ideal_action, map_monoid, submonoid_closure,
+from monoidtopos.monoid import (HEYTING_LAW_NAMES, FiniteMonoid, LeftIdeal,
+                                enumerate_left_ideals, heyting_implies, heyting_not,
+                                heyting_report, ideal_action, map_monoid,
+                                map_monoid_values, submonoid_closure,
                                 verify_associativity)
 from monoidtopos.corpus import random_monoids, small_monoids
 
@@ -187,6 +188,62 @@ def _closure_by_fixpoint(gens, k: int) -> set[tuple[int, ...]]:
     return elems
 
 
+def _heyting_report_by_loops(m: FiniteMonoid) -> dict:
+    """Every law checked on element masks, one pair or triple of ideals at
+    a time, over a table of implications built through heyting_implies."""
+    ideals = enumerate_left_ideals(m)
+    masks = [i.mask for i in ideals]
+    mask_set = set(masks)
+    full = (1 << m.size) - 1
+    laws = {name: True for name in HEYTING_LAW_NAMES}
+
+    imp = {}
+    neg = {}
+    for a in ideals:
+        for b in ideals:
+            imp[a.mask, b.mask] = heyting_implies(a, b).mask
+        neg[a.mask] = imp[a.mask, 0]
+
+    for x in masks:
+        if neg[x] not in mask_set:
+            laws["closure_not"] = False
+        if x & x != x or x | x != x:
+            laws["idempotent"] = False
+        if not (x & full == x and x | 0 == x and x | full == full and x & 0 == 0):
+            laws["bounds"] = False
+    for x in masks:
+        for y in masks:
+            if (x & y) not in mask_set:
+                laws["closure_meet"] = False
+            if (x | y) not in mask_set:
+                laws["closure_join"] = False
+            if imp[x, y] not in mask_set:
+                laws["closure_implies"] = False
+            if x & y != y & x or x | y != y | x:
+                laws["commutative"] = False
+            if x & (x | y) != x or x | (x & y) != x:
+                laws["absorption"] = False
+    for x in masks:
+        for y in masks:
+            for z in masks:
+                if (x & y) & z != x & (y & z) or (x | y) | z != x | (y | z):
+                    laws["associative"] = False
+                if x & (y | z) != (x & y) | (x & z) or x | (y & z) != (x | y) & (x | z):
+                    laws["distributive"] = False
+                if ((z & x) & ~y == 0) != (z & ~imp[x, y] == 0):
+                    laws["residuation"] = False
+
+    witnesses = [LeftIdeal(m, x) for x in masks if x | neg[x] != full]
+    return {
+        "size": m.size,
+        "ideal_count": len(ideals),
+        "ideals": [i.member_names() for i in ideals],
+        "laws": laws,
+        "all_laws_hold": all(laws.values()),
+        "excluded_middle_failures": [w.member_names() for w in witnesses],
+    }
+
+
 def _oracle_corpus() -> list[FiniteMonoid]:
     return small_monoids(3) + random_monoids(31, 12) + [map_monoid(3)]
 
@@ -227,3 +284,64 @@ def test_breadth_first_closure_matches_fixpoint():
         assert m.identity == index[tuple(range(k))]
         assert m.table == tuple(tuple(index[tuple(f[g[x]] for x in range(k))]
                                       for g in ordered) for f in ordered)
+
+
+def _min_chain(n: int) -> FiniteMonoid:
+    """{0 < 1 < ... < n-1} under min, with the top as identity: n principal
+    ideals, so n = 64 and n = 65 sit on either side of the uint64 codes."""
+    return FiniteMonoid([[min(a, b) for b in range(n)] for a in range(n)], identity=n - 1)
+
+
+# Submonoids of map_monoid(4) with 23 and 28 elements (57 and 54 left ideals).
+LATTICE_GENERATORS = (((1, 1, 0, 0), (1, 3, 2, 3), (1, 2, 2, 2)),
+                      ((0, 0, 0, 2), (3, 2, 1, 2), (2, 2, 0, 0)))
+
+
+def test_heyting_report_matches_loop_oracle():
+    lattices = [submonoid_closure(gens, 4) for gens in LATTICE_GENERATORS]
+    assert [(m.size, len(enumerate_left_ideals(m))) for m in lattices] == [(23, 57), (28, 54)]
+    chains = [_min_chain(64), _min_chain(65)]
+    assert [len(set(m.reach_masks())) for m in chains] == [64, 65]
+    for mon in _oracle_corpus() + lattices + chains:
+        assert heyting_report(mon) == _heyting_report_by_loops(mon)
+
+
+def test_heyting_report_matches_oracle_on_an_ideal_lattice_with_a_hole():
+    # the oracle needs the empty ideal for its negations, so keep it
+    closure_laws = [name for name in HEYTING_LAW_NAMES if name.startswith("closure_")]
+    full = enumerate_left_ideals(map_monoid(3))
+    for i in range(1, len(full)):
+        mon = map_monoid(3)
+        mon._ideals = tuple(full[:i] + full[i + 1:])
+        report = heyting_report(mon)
+        assert report == _heyting_report_by_loops(mon)
+        assert not all(report["laws"][name] for name in closure_laws)
+
+
+def test_heyting_report_on_the_full_map_monoid_on_four_points():
+    report = heyting_report(map_monoid(4))
+    assert report["size"] == 256
+    assert report["ideal_count"] == 347
+    assert report["all_laws_hold"]
+    assert all(report["laws"].values()) and tuple(report["laws"]) == HEYTING_LAW_NAMES
+    # excluded middle fails at every ideal except the empty one and M
+    assert len(report["excluded_middle_failures"]) == 345
+    assert report["excluded_middle_failures"] == report["ideals"][1:-1]
+
+
+def test_map_monoid_composes_its_value_tuples():
+    for k in range(1, 5):
+        m = map_monoid(k)
+        maps = map_monoid_values(k)
+        index = {f: i for i, f in enumerate(maps)}
+        assert m.identity == index[tuple(range(k))]
+        assert m.names == tuple("f" + "".join(map(str, f)) for f in maps)
+        assert m.table == tuple(tuple(index[tuple(f[g[x]] for x in range(k))] for g in maps)
+                                for f in maps)
+
+
+def test_reach_masks_are_the_principal_left_ideals():
+    for mon in _oracle_corpus():
+        assert mon.reach_masks() == tuple(
+            sum(1 << p for p in {mon.table[m][x] for m in range(mon.size)})
+            for x in range(mon.size))

@@ -102,6 +102,11 @@ def test_truth_in_invariant_requires_invariance(m2):
         truth_in_invariant(lr, 0, {0})
 
 
+def test_truth_in_invariant_rejects_a_point_outside_the_carrier(m2):
+    with pytest.raises(UsageError, match="7 is not a carrier point"):
+        truth_in_invariant(left_regular(m2), 7, {1})
+
+
 def test_truth_in_invariant_values(m2):
     lr = left_regular(m2)
     assert truth_in_invariant(lr, 1, {1}).is_full

@@ -21,6 +21,8 @@ def test_alphabet_validates_letters():
         ProjectorAlphabet({})
     with pytest.raises(ValidationError, match="one dimension"):
         ProjectorAlphabet({"Pz": PZ, "I3": np.eye(3)})
+    with pytest.raises(UsageError, match="alphabet letters must be distinct"):
+        ProjectorAlphabet([("P", PZ), ("P", PPLUS)])
 
 
 def test_reduce_unit_and_homomorphism(qubit_alphabet):
