@@ -1,13 +1,14 @@
 """Coarse-grained truth over a finite value set X, classical and quantum.
 
 The coarse-graining monoid is the full map monoid on X; a map f acts on a
-proposition (A, Δ) by (f(A), f(Δ)).  The generalized valuation at a state
-is the characteristic arrow of the invariant set of propositions true at
-that state.  The functions here build that construction once for every
-kind of system; a kind differs only in the test "A ∈ Δ holds".  Classical
-quantities map a finite state set into X and are held as tuples of value
-*indices*, one per state, so that post-composition is exact; ``quantum.py``
-supplies the quantum kind.
+proposition (A, Δ) by (f(A), f(Δ)), so the proposition M-set is the
+product of a subject M-set and a range M-set.  The generalized valuation
+at a state is the characteristic arrow of the invariant set of
+propositions true at that state.  The functions here build that
+construction once for every kind of system; a kind differs only in the
+test "A ∈ Δ holds".  Classical quantities map a finite state set into X
+and are held as tuples of value *indices*, one per state, so that
+post-composition is exact; ``quantum.py`` supplies the quantum kind.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .errors import MissingNameError, UsageError, ValidationError
 from .monoid import FiniteMonoid, LeftIdeal, map_monoid, map_monoid_values
-from .mset import MSet, truth_in_invariant
+from .mset import MSet, product_mset, truth_in_invariant
 
 Quantity = tuple[int, ...]
 
@@ -133,20 +134,15 @@ def valuation(system: ValueSetSystem, state, subject, delta) -> LeftIdeal:
 
 
 def proposition_mset(system: ValueSetSystem) -> MSet:
-    """The map monoid acting on all (subject, range) pairs by relabelling
-    and image."""
+    """The map monoid acting on all (subject, range) pairs: the product of
+    the subjects, acted on by relabelling, and the ranges, by image."""
     maps = system.maps
-    relabel = system.relabel
     nv = len(system.values)
-    ranges = [frozenset(i for i in range(nv) if mask >> i & 1) for mask in range(1 << nv)]
-    points = [(a, g) for a in system.subjects() for g in ranges]
-
-    def act(m: int, point):
-        a, g = point
-        f = maps[m]
-        return (relabel(f, a), frozenset(f[i] for i in g))
-
-    return MSet(system.monoid, points, act)
+    subjects = MSet(system.monoid, system.subjects(), lambda m, a: system.relabel(maps[m], a))
+    ranges = MSet(system.monoid,
+                  [frozenset(i for i in range(nv) if mask >> i & 1) for mask in range(1 << nv)],
+                  lambda m, g: frozenset(maps[m][i] for i in g))
+    return product_mset(subjects, ranges)
 
 
 def truth_set(system: ValueSetSystem, state, mset: MSet | None = None) -> frozenset:

@@ -29,7 +29,7 @@ from .errors import (ContextError, PreconditionError, StructureError, UsageError
                      ValidationError)
 from .linalg import DEFAULT_TOL, HermitianOperator, Ray, TolerancePolicy, as_vector, operator_norm
 from .reduction import ProjectorAlphabet, in_reduced_eigenspace, rays_agree, unit_state
-from .strings import DEFAULT_STRING_BUDGET, Letters
+from .strings import Letters
 
 
 def _same_rays(left: Sequence[Ray], right: Sequence[Ray], tol: TolerancePolicy) -> np.ndarray:
@@ -102,12 +102,11 @@ def in_sp0(alphabet: ProjectorAlphabet, letters: Sequence[str]) -> bool:
 class StringUniverse:
     """All strings up to a length bound with non-null reduction, and their reductions."""
 
-    def __init__(self, alphabet: ProjectorAlphabet, max_len: int,
-                 budget: int = DEFAULT_STRING_BUDGET):
+    def __init__(self, alphabet: ProjectorAlphabet, max_len: int):
         self.alphabet = alphabet
         self.max_len = int(max_len)
         members, stacks = [], []
-        for strings, stack in alphabet.levels(self.max_len, budget):
+        for strings, stack in alphabet.levels(self.max_len):
             alive = np.linalg.norm(stack, 2, axis=(1, 2)) > alphabet.tol.null_threshold
             members += [q for q, a in zip(strings, alive) if a]
             stacks.append(stack[alive])

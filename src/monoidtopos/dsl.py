@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional
+from typing import Iterable, NamedTuple, Optional
 
 import numpy as np
 
@@ -572,6 +572,7 @@ def _resolve(decls: list, diagnostics: list[Diagnostic], eps: Optional[float],
                     raise MonoidToposError("action table must be elements x points")
                 spec.msets[d.name] = MSet(mon, range(d.points), d.action)
             elif isinstance(d, ClassicalDecl):
+                _require_distinct((q.name for q in d.quantities), "quantity name")
                 spec.classical[d.name] = ClassicalSystem(
                     d.states, d.values, {q.name: q.values for q in d.quantities})
             elif isinstance(d, QuantumDecl):
@@ -585,12 +586,21 @@ def _resolve(decls: list, diagnostics: list[Diagnostic], eps: Optional[float],
                     raise MonoidToposError("depth must be non-negative")
                 spec.universes[d.name] = d
             elif isinstance(d, QueryDecl):
+                _require_distinct((key for key, _ in d.entries), "query entry")
                 spec.queries[d.name] = dict(d.entries)
             else:
                 fail(d, "unknown declaration type")
         except MonoidToposError as exc:
             fail(d, str(exc))
     return spec
+
+
+def _require_distinct(names: Iterable[str], what: str):
+    seen: set[str] = set()
+    for name in names:
+        if name in seen:
+            raise MonoidToposError(f"duplicate {what} {name!r}")
+        seen.add(name)
 
 
 def _infer_values(matrices: list, tol: TolerancePolicy) -> tuple[float, ...]:
@@ -607,11 +617,7 @@ def _infer_values(matrices: list, tol: TolerancePolicy) -> tuple[float, ...]:
 def _resolve_quantum(d: QuantumDecl, tol: TolerancePolicy) -> ResolvedQuantum:
     if d.dim < 1:
         raise MonoidToposError(f"dimension must be positive, got {d.dim}")
-    names: set[str] = set()
-    for m in d.members:
-        if m.name in names:
-            raise MonoidToposError(f"duplicate member name {m.name!r}")
-        names.add(m.name)
+    _require_distinct((m.name for m in d.members), "member name")
     operators = {m.name: as_matrix(m.matrix, d.dim)
                  for m in d.members if isinstance(m, MatrixMemberDecl) and m.kind == "operator"}
     values = d.values

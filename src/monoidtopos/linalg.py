@@ -35,7 +35,7 @@ class TolerancePolicy:
 DEFAULT_TOL = TolerancePolicy()
 
 
-def as_matrix(entries, dim: Optional[int] = None, max_dim: int = MAX_DIM) -> np.ndarray:
+def as_matrix(entries, dim: Optional[int] = None) -> np.ndarray:
     """Validate and copy a square complex matrix."""
     try:
         a = np.array(entries, dtype=complex)
@@ -45,8 +45,8 @@ def as_matrix(entries, dim: Optional[int] = None, max_dim: int = MAX_DIM) -> np.
         raise StructureError(f"expected a square matrix, got shape {a.shape}")
     if dim is not None and a.shape[0] != dim:
         raise StructureError(f"expected dimension {dim}, got {a.shape[0]}")
-    if a.shape[0] > max_dim:
-        raise StructureError(f"dimension {a.shape[0]} exceeds cap {max_dim}")
+    if a.shape[0] > MAX_DIM:
+        raise StructureError(f"dimension {a.shape[0]} exceeds cap {MAX_DIM}")
     if a.shape[0] == 0:
         raise StructureError("empty matrix")
     if not np.all(np.isfinite(a.view(float))):

@@ -197,26 +197,28 @@ def heyting_not(ideal: LeftIdeal) -> LeftIdeal:
 def enumerate_left_ideals(m: FiniteMonoid) -> list[LeftIdeal]:
     """All left ideals, sorted by (size, mask); always contains 0 and M."""
     if m._ideals is None:
-        masks = _ideals_by_closure(m)
+        # every left ideal is a union of principal ideals
+        masks = union_closure(m.reach_masks(), "ideal lattice")
         masks.sort(key=lambda k: (k.bit_count(), k))
         m._ideals = tuple(LeftIdeal(m, mask) for mask in masks)
     return list(m._ideals)
 
 
-def _ideals_by_closure(m: FiniteMonoid) -> list[int]:
-    # Every left ideal is a union of principal ideals, so close the set of
-    # principal ideals under binary union.
-    principal = sorted(set(m.reach_masks()))
+def union_closure(masks: Iterable[int], what: str) -> list[int]:
+    """Every union of the given bitmasks, the empty union 0 included, in no
+    particular order.  Past IDEAL_COUNT_CAP unions it raises CapacityError,
+    naming ``what`` is being closed."""
+    generators = sorted(set(masks))
     found = {0}
-    frontier = list(principal)
+    frontier = list(generators)
     while frontier:
         mask = frontier.pop()
         if mask in found:
             continue
         found.add(mask)
         if len(found) > IDEAL_COUNT_CAP:
-            raise CapacityError("ideal lattice exceeds configured cap")
-        frontier.extend(mask | p for p in principal if mask | p not in found)
+            raise CapacityError(f"{what} exceeds configured cap")
+        frontier.extend(mask | g for g in generators if mask | g not in found)
     return list(found)
 
 

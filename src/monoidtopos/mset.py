@@ -1,6 +1,11 @@
 """Finite M-sets, invariant subsets, characteristic arrows, and the
 point-level generalized truth values they induce.
 
+An M-set keeps its action as one array, ``table[m, i]`` being the index of
+m acting on point i.  Products combine tables by index arithmetic, each
+point-level truth value is the ideal of the rows whose table columns meet
+one condition, and the invariant subsets are the unions of the orbits M·x.
+
 Two membership truth values exist side by side and are never auto-selected:
 ``truth_in_invariant`` (membership of the translate in a fixed invariant
 subset) and ``truth_in_subset`` (membership in the translated subset).
@@ -15,7 +20,7 @@ from typing import Callable, Hashable, Iterable, Mapping, Optional, Sequence
 import numpy as np
 
 from .errors import CapacityError, UsageError, ValidationError
-from .monoid import FiniteMonoid, LeftIdeal, ideal_action
+from .monoid import FiniteMonoid, LeftIdeal, enumerate_left_ideals, ideal_action, union_closure
 
 Point = Hashable
 
@@ -26,11 +31,14 @@ ACTION_CHECK_BUDGET = 50_000_000
 class MSet:
     """A finite carrier with a left action of a finite monoid.
 
-    The action laws (identity acts trivially; acting by n then m equals
-    acting by the product mn) are verified exhaustively at construction.
+    The action is given as a callable ``action(m, point)`` or as an
+    elements-by-points table of carrier indices, and is kept as the
+    read-only array ``table`` in the narrowest unsigned dtype.  The action
+    laws (identity acts trivially; acting by n then m equals acting by the
+    product mn) are verified exhaustively at construction.
     """
 
-    __slots__ = ("monoid", "points", "_index", "_table")
+    __slots__ = ("monoid", "points", "_index", "table")
 
     def __init__(self, monoid: FiniteMonoid, points: Sequence[Point],
                  action: Callable[[int, Point], Point] | Sequence[Sequence[int]]):
@@ -39,54 +47,46 @@ class MSet:
         if len(set(self.points)) != len(self.points):
             raise ValidationError("carrier points must be distinct")
         self._index = {x: i for i, x in enumerate(self.points)}
-        n = monoid.size
-        if callable(action):
-            table = []
-            for m in range(n):
-                row = []
-                for x in self.points:
-                    y = action(m, x)
-                    if y not in self._index:
-                        raise ValidationError(f"action leaves the carrier at ({m}, {x!r})")
-                    row.append(self._index[y])
-                table.append(tuple(row))
-            self._table = tuple(table)
-        else:
-            table = tuple(tuple(int(v) for v in row) for row in action)
-            if len(table) != n or any(len(row) != len(self.points) for row in table):
-                raise ValidationError("action table has wrong shape")
-            for row in table:
-                for v in row:
-                    if not 0 <= v < len(self.points):
-                        raise ValidationError("action table entry out of range")
-            self._table = table
-        self._validate_laws()
-
-    def _validate_laws(self):
-        n, k = self.monoid.size, len(self.points)
+        n, k = monoid.size, len(self.points)
         if n * n * k > ACTION_CHECK_BUDGET:
             raise CapacityError("action-law validation would exceed its budget")
-        ident = self.monoid.identity
-        for i in range(k):
-            if self._table[ident][i] != i:
-                raise ValidationError("identity element does not act trivially")
-        # One row m at a time: table[m][table] is "act by n, then by m" for
-        # every (n, i), and table[mul[m]] is "act by the product mn".  The
-        # narrowest index dtype keeps these n-by-k temporaries small.
-        table = np.asarray(self._table, dtype=np.min_scalar_type(k - 1)).reshape(n, k)
-        mul = self.monoid.table
-        for m in range(n):
-            bad = np.argwhere(table[m][table] != table[list(mul[m])])
-            if len(bad):
-                nn, i = (int(v) for v in bad[0])
+        if callable(action):
+            table = np.array([[self._index.get(action(m, x), -1) for x in self.points]
+                              for m in range(n)], dtype=np.intp)
+            if (table < 0).any():
+                m, i = (int(v) for v in np.argwhere(table < 0)[0])
+                raise ValidationError(f"action leaves the carrier at ({m}, {self.points[i]!r})")
+        else:
+            try:
+                table = np.asarray(action)
+                table = table if table.dtype.kind in "iu" else table.astype(np.intp)
+            except OverflowError:
+                raise ValidationError("action table entry out of range") from None
+            except (TypeError, ValueError):
+                raise ValidationError("action table has wrong shape") from None
+            if table.shape != (n, k):
+                raise ValidationError("action table has wrong shape")
+            if ((table < 0) | (table >= k)).any():
+                raise ValidationError("action table entry out of range")
+        self.table = table = table.astype(np.min_scalar_type(max(k - 1, 0)))
+        table.flags.writeable = False
+        if (table[monoid.identity] != np.arange(k)).any():
+            raise ValidationError("identity element does not act trivially")
+        # One row m at a time: table[m] taken at table is "act by n, then by
+        # m" for every (n, i), and the rows mul[m] of table are "act by the
+        # product mn"; both stay in the table's narrow dtype.
+        for m, row in enumerate(monoid.table):
+            bad = table[m].take(table) != table.take(row, axis=0)
+            if bad.any():
+                nn, i = (int(v) for v in np.argwhere(bad)[0])
                 raise ValidationError(
                     f"action law fails at m={m}, n={nn}, point index {i}")
 
     def act(self, m: int, x: Point) -> Point:
-        return self.points[self._table[m][self._index[x]]]
+        return self.points[self.table[m, self._index[x]]]
 
     def act_index(self, m: int, i: int) -> int:
-        return self._table[m][i]
+        return int(self.table[m, i])
 
     def index(self, x: Point) -> int:
         try:
@@ -107,48 +107,61 @@ class MSet:
 
 def left_regular(monoid: FiniteMonoid) -> MSet:
     """The monoid acting on itself by left multiplication."""
-    return MSet(monoid, range(monoid.size), lambda m, x: monoid.table[m][x])
+    return MSet(monoid, range(monoid.size), monoid.table)
 
 
 def product_mset(x: MSet, y: MSet) -> MSet:
-    """Componentwise action on the product carrier."""
+    """Componentwise action on the product carrier: point (i, j) is index
+    ``i*|Y| + j``, so ``m`` sends it to ``x.table[m, i]*|Y| + y.table[m, j]``."""
     if x.monoid is not y.monoid:
         raise UsageError("factors must share a monoid")
     points = [(a, b) for a in x.points for b in y.points]
-    return MSet(x.monoid, points, lambda m, p: (x.act(m, p[0]), y.act(m, p[1])))
+    wide = x.table.astype(np.min_scalar_type(max(len(points), len(y))))
+    table = wide[:, :, None] * len(y) + y.table[:, None, :]
+    return MSet(x.monoid, points, table.reshape(x.monoid.size, len(points)))
 
 
-def _as_subset(x: MSet, subset: Iterable[Point]) -> frozenset[Point]:
-    s = frozenset(subset)
-    for p in s:
-        if p not in x._index:
-            raise UsageError(f"{p!r} is not a carrier point")
-    return s
+def _ideal_where(x: MSet, rows: np.ndarray) -> LeftIdeal:
+    """The left ideal of the elements m whose row meets a condition, given
+    as one boolean per element."""
+    bits = np.packbits(rows, bitorder="little").tobytes()
+    return LeftIdeal(x.monoid, int.from_bytes(bits, "little"))
+
+
+def _members(x: MSet, subset: Iterable[Point]) -> np.ndarray:
+    """The subset as one boolean per carrier point."""
+    inside = np.zeros(len(x), dtype=bool)
+    inside[[x.index(p) for p in frozenset(subset)]] = True
+    return inside
+
+
+def _invariant(x: MSet, inside: np.ndarray) -> bool:
+    return bool(inside[x.table[:, inside]].all())
+
+
+def _require_invariant(x: MSet, inside: np.ndarray):
+    if not _invariant(x, inside):
+        raise ValidationError("subset is not invariant under the action")
 
 
 def is_invariant(x: MSet, subset: Iterable[Point]) -> bool:
     """True iff the subset is closed under the action of every element."""
-    s = _as_subset(x, subset)
-    return all(x.act(m, p) in s for m in range(x.monoid.size) for p in s)
+    return _invariant(x, _members(x, subset))
 
 
 def truth_in_invariant(x: MSet, point: Point, subset: Iterable[Point]) -> LeftIdeal:
     """The elements sending the point into the fixed invariant subset."""
-    s = _as_subset(x, subset)
-    x.index(point)
-    if not is_invariant(x, s):
-        raise ValidationError("subset is not invariant under the action")
-    return x.monoid.ideal(m for m in range(x.monoid.size) if x.act(m, point) in s)
+    inside = _members(x, subset)
+    column = x.table[:, x.index(point)]
+    _require_invariant(x, inside)
+    return _ideal_where(x, inside[column])
 
 
 def characteristic_arrow(x: MSet, subset: Iterable[Point]) -> dict[Point, LeftIdeal]:
     """The classifying map of an invariant subset, point by point."""
-    s = _as_subset(x, subset)
-    if not is_invariant(x, s):
-        raise ValidationError("subset is not invariant under the action")
-    mon = x.monoid
-    return {p: mon.ideal(m for m in range(mon.size) if x.act(m, p) in s)
-            for p in x.points}
+    inside = _members(x, subset)
+    _require_invariant(x, inside)
+    return {p: _ideal_where(x, inside[x.table[:, i]]) for i, p in enumerate(x.points)}
 
 
 def truth_in_subset(x: MSet, point: Point, subset: Iterable[Point]) -> LeftIdeal:
@@ -157,27 +170,22 @@ def truth_in_subset(x: MSet, point: Point, subset: Iterable[Point]) -> LeftIdeal
     The subset need not be invariant; for invariant K this is contained in
     (and generally differs from) truth_in_invariant.
     """
-    s = _as_subset(x, subset)
-    x.index(point)
-    mon = x.monoid
-    return mon.ideal(m for m in range(mon.size)
-                     if x.act(m, point) in x.translate(m, s))
+    inside = _members(x, subset)
+    column = x.table[:, [x.index(point)]]
+    return _ideal_where(x, (x.table[:, inside] == column).any(axis=1))
 
 
 def truth_subset_leq(x: MSet, first: Iterable[Point], second: Iterable[Point]) -> LeftIdeal:
     """The elements m with m*K1 contained in m*K2."""
-    k1 = _as_subset(x, first)
-    k2 = _as_subset(x, second)
-    mon = x.monoid
-    return mon.ideal(m for m in range(mon.size)
-                     if x.translate(m, k1) <= x.translate(m, k2))
+    k1 = x.table[:, _members(x, first)]
+    k2 = x.table[:, _members(x, second)]
+    return _ideal_where(x, (k1[:, :, None] == k2[:, None, :]).any(axis=2).all(axis=1))
 
 
 def truth_equal(x: MSet, a: Point, b: Point) -> LeftIdeal:
     """Partial equality: the elements merging the two points."""
-    x.index(a), x.index(b)
-    mon = x.monoid
-    return mon.ideal(m for m in range(mon.size) if x.act(m, a) == x.act(m, b))
+    i, j = x.index(a), x.index(b)
+    return _ideal_where(x, x.table[:, i] == x.table[:, j])
 
 
 @dataclass(frozen=True)
@@ -192,44 +200,44 @@ class KFamily:
         mon = self.base.monoid
         if len(self.sets) != mon.size:
             raise ValidationError("need exactly one subset per monoid element")
-        sets = tuple(_as_subset(self.base, s) for s in self.sets)
-        object.__setattr__(self, "sets", sets)
-        for mp in range(mon.size):
-            for m in range(mon.size):
-                target = sets[mon.table[mp][m]]
-                if not self.base.translate(mp, sets[m]) <= target:
-                    raise ValidationError(
-                        f"family violates compatibility at m'={mp}, m={m}")
+        object.__setattr__(self, "sets", tuple(frozenset(s) for s in self.sets))
+        held = _held(self)
+        # held[mul[m', m], table[m', i]] says m'*i lies in K_{m'm}, for each (m, i)
+        for mp, row in enumerate(mon.table):
+            bad = np.argwhere(held & ~held[list(row)][:, self.base.table[mp]])
+            if len(bad):
+                raise ValidationError(
+                    f"family violates compatibility at m'={mp}, m={int(bad[0][0])}")
 
     def at(self, m: int) -> frozenset[Point]:
         return self.sets[m]
 
 
+def _held(family: KFamily) -> np.ndarray:
+    """``held[m, i]`` says carrier point i lies in K_m."""
+    return np.array([_members(family.base, s) for s in family.sets])
+
+
 def family_from_subset(x: MSet, subset: Iterable[Point]) -> KFamily:
     """The family K_m := m*K generated by an arbitrary subset."""
-    s = _as_subset(x, subset)
-    return KFamily(x, tuple(x.translate(m, s) for m in range(x.monoid.size)))
+    inside = _members(x, subset)
+    return KFamily(x, tuple(frozenset(x.points[i] for i in row)
+                            for row in x.table[:, inside].tolist()))
 
 
 def truth_in_family(x: MSet, point: Point, family: KFamily) -> LeftIdeal:
     """The elements m with m*point in K_m."""
     if family.base is not x:
         raise UsageError("family belongs to a different M-set")
-    mon = x.monoid
-    return mon.ideal(m for m in range(mon.size) if x.act(m, point) in family.at(m))
+    return _ideal_where(x, _held(family)[np.arange(x.monoid.size), x.table[:, x.index(point)]])
 
 
 def family_to_lambda(family: KFamily) -> dict[tuple[Point, int], LeftIdeal]:
     """The pairing (x, m) -> {m' | m'x in K_{m'm}} induced by a family."""
-    x = family.base
-    mon = x.monoid
-    out = {}
-    for p in x.points:
-        for m in range(mon.size):
-            out[p, m] = mon.ideal(
-                mp for mp in range(mon.size)
-                if x.act(mp, p) in family.at(mon.table[mp][m]))
-    return out
+    x, held = family.base, _held(family)
+    mul = np.array(x.monoid.table, dtype=np.intp)
+    return {(p, m): _ideal_where(x, held[mul[:, m], x.table[:, i]])
+            for i, p in enumerate(x.points) for m in range(x.monoid.size)}
 
 
 def lambda_to_family(x: MSet, pairing: Mapping[tuple[Point, int], LeftIdeal]) -> KFamily:
@@ -247,27 +255,18 @@ def lambda_to_family(x: MSet, pairing: Mapping[tuple[Point, int], LeftIdeal]) ->
             if ideal.monoid is not mon:
                 raise UsageError("pairing values belong to a different monoid")
             for mp in range(mon.size):
-                expected = ideal_action(mp, ideal)
-                got = pairing[x.act(mp, p), mon.table[mp][m]]
-                if got.mask != expected.mask:
+                if pairing[x.act(mp, p), mon.table[mp][m]].mask != ideal_action(mp, ideal).mask:
                     raise ValidationError(
                         f"pairing is not equivariant at ({p!r}, {m}) under {mp}")
-    full = (1 << mon.size) - 1
-    sets = tuple(frozenset(p for p in x.points if pairing[p, m].mask == full)
-                 for m in range(mon.size))
-    return KFamily(x, sets)
+    return KFamily(x, tuple(frozenset(p for p in x.points if pairing[p, m].is_full)
+                            for m in range(mon.size)))
 
 
 def invariant_subsets(x: MSet) -> list[frozenset[Point]]:
-    """All invariant subsets, smallest first (carrier must be small)."""
-    k = len(x.points)
-    if k > 20:
-        raise CapacityError("carrier too large for subset enumeration")
-    out = []
-    for mask in range(1 << k):
-        s = frozenset(x.points[i] for i in range(k) if mask >> i & 1)
-        if is_invariant(x, s):
-            out.append(s)
+    """All invariant subsets, smallest first: the unions of the orbits M·x."""
+    orbits = [sum(1 << i for i in set(column)) for column in x.table.T.tolist()]
+    out = [frozenset(x.points[i] for i in range(len(x)) if mask >> i & 1)
+           for mask in union_closure(orbits, "invariant-subset lattice")]
     out.sort(key=lambda s: (len(s), sorted(map(repr, s))))
     return out
 
@@ -278,13 +277,12 @@ def equivariant_maps_to_ideals(x: MSet) -> list[dict[Point, LeftIdeal]]:
     Backtracks point by point, propagating chi(m*x) = action(m, chi(x)),
     so the search branches only on points not yet forced.
     """
-    from .monoid import enumerate_left_ideals
-
     mon = x.monoid
     ideals = enumerate_left_ideals(mon)
     action_of = [{i.mask: ideal_action(m, i).mask for i in ideals}
                  for m in range(mon.size)]
     k = len(x.points)
+    table = x.table.tolist()
     results: list[dict[Point, LeftIdeal]] = []
     assignment: list[Optional[int]] = [None] * k
 
@@ -299,7 +297,7 @@ def equivariant_maps_to_ideals(x: MSet) -> list[dict[Point, LeftIdeal]]:
             assignment[j] = mk
             undo.append(j)
             for m in range(mon.size):
-                stack.append((x.act_index(m, j), action_of[m][mk]))
+                stack.append((table[m][j], action_of[m][mk]))
         return True
 
     def search(start: int):
@@ -325,5 +323,4 @@ def equivariant_maps_to_ideals(x: MSet) -> list[dict[Point, LeftIdeal]]:
 def arrow_to_invariant(x: MSet, arrow: Mapping[Point, LeftIdeal]) -> frozenset[Point]:
     """The invariant subset classified by an equivariant map: the points
     whose truth value is the full ideal."""
-    full = (1 << x.monoid.size) - 1
-    return frozenset(p for p in x.points if arrow[p].mask == full)
+    return frozenset(p for p in x.points if arrow[p].is_full)

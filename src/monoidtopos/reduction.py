@@ -25,7 +25,7 @@ from .errors import MissingNameError, UsageError, ValidationError
 from .linalg import (DEFAULT_TOL, HermitianOperator, Projector, Ray, Subspace,
                      TolerancePolicy, ZERO_RAY, RayOrZero, as_matrix, as_vector,
                      is_hermitian, orthonormalize)
-from .strings import DEFAULT_STRING_BUDGET, BoundedIdeal, ProjStringMonoid, bounded_ideal
+from .strings import BoundedIdeal, ProjStringMonoid, bounded_ideal
 
 DEFAULT_DEPTH = 4
 
@@ -62,12 +62,12 @@ class ProjectorAlphabet:
             result = self.matrix(name) @ result
         return result
 
-    def levels(self, depth: int, budget: int = DEFAULT_STRING_BUDGET) -> Iterator[tuple]:
+    def levels(self, depth: int) -> Iterator[tuple]:
         """The strings of each length k <= depth and their (L**k, d, d) stack
         of reductions: row a * L**k + i of level k+1 is P_a @ row i of level k."""
         letters = np.array(list(self.matrices.values()))[:, None]
         stack = np.eye(self.dim, dtype=complex)[None]
-        for k, strings in enumerate(self.monoid.levels(depth, budget)):
+        for k, strings in enumerate(self.monoid.levels(depth)):
             if k:
                 stack = (letters @ stack).reshape(-1, self.dim, self.dim)
             yield strings, stack
@@ -161,52 +161,48 @@ def rays_agree(reductions: np.ndarray, psi: np.ndarray, phi: np.ndarray,
 
 
 def _ideal(alphabet: ProjectorAlphabet, keep: Callable[[np.ndarray], np.ndarray],
-           depth: int, budget: int) -> BoundedIdeal:
+           depth: int) -> BoundedIdeal:
     """The strings whose reductions ``keep`` accepts, certified level by level."""
     return bounded_ideal(
         alphabet.monoid, lambda strings: keep(np.array([alphabet.reduce(q) for q in strings])),
-        ((strings, keep(stack)) for strings, stack in alphabet.levels(depth, budget)))
+        ((strings, keep(stack)) for strings, stack in alphabet.levels(depth)))
 
 
 def _eigenspace_ideal(alphabet: ProjectorAlphabet, state: np.ndarray, op: HermitianOperator,
-                      delta, depth: int, budget: int, projective: bool = False) -> BoundedIdeal:
+                      delta, depth: int, projective: bool = False) -> BoundedIdeal:
     if op.dim != alphabet.dim:
         raise UsageError("operator dimension does not match the alphabet")
     target = op.eigenspace(delta, alphabet.tol)
     return _ideal(alphabet, lambda stack: in_reduced_eigenspace(
-        stack, state, target, alphabet.tol, projective), depth, budget)
+        stack, state, target, alphabet.tol, projective), depth)
 
 
 def valuation_vector(alphabet: ProjectorAlphabet, psi, op: HermitianOperator,
-                     delta, depth: int = DEFAULT_DEPTH,
-                     budget: int = DEFAULT_STRING_BUDGET) -> BoundedIdeal:
+                     delta, depth: int = DEFAULT_DEPTH) -> BoundedIdeal:
     """Strings whose reduction sends the state into the reduced eigenspace
     of the proposition, certified to the given depth."""
-    return _eigenspace_ideal(alphabet, unit_state(alphabet, psi), op, delta, depth, budget)
+    return _eigenspace_ideal(alphabet, unit_state(alphabet, psi), op, delta, depth)
 
 
 def valuation_ray(alphabet: ProjectorAlphabet, psi, op: HermitianOperator,
-                  delta, depth: int = DEFAULT_DEPTH,
-                  budget: int = DEFAULT_STRING_BUDGET) -> BoundedIdeal:
+                  delta, depth: int = DEFAULT_DEPTH) -> BoundedIdeal:
     """Projective version: the reduced ray must lie in the reduced
     projective eigenspace, where the absorbing point belongs to the image
     exactly when the reduction kills part of the eigenspace (rank drop)."""
-    return _eigenspace_ideal(alphabet, unit_state(alphabet, psi), op, delta, depth, budget,
+    return _eigenspace_ideal(alphabet, unit_state(alphabet, psi), op, delta, depth,
                              projective=True)
 
 
 def truth_ray_equal_strings(alphabet: ProjectorAlphabet, psi, phi,
-                            depth: int = DEFAULT_DEPTH,
-                            budget: int = DEFAULT_STRING_BUDGET) -> BoundedIdeal:
+                            depth: int = DEFAULT_DEPTH) -> BoundedIdeal:
     """Strings after which the two states can no longer be told apart:
     both reductions null, or both non-null on the same ray."""
     v, w = unit_state(alphabet, psi), unit_state(alphabet, phi)
-    return _ideal(alphabet, lambda stack: rays_agree(stack, v, w, alphabet.tol), depth, budget)
+    return _ideal(alphabet, lambda stack: rays_agree(stack, v, w, alphabet.tol), depth)
 
 
 def valuation_density(alphabet: ProjectorAlphabet, rho: DensityMatrix,
-                      op: HermitianOperator, delta, depth: int = DEFAULT_DEPTH,
-                      budget: int = DEFAULT_STRING_BUDGET) -> BoundedIdeal:
+                      op: HermitianOperator, delta, depth: int = DEFAULT_DEPTH) -> BoundedIdeal:
     """Density-matrix version: the reduced state must be fully supported
     in the reduced eigenspace, expressed through traces so annihilated
     strings qualify without any normalisation."""
@@ -214,4 +210,4 @@ def valuation_density(alphabet: ProjectorAlphabet, rho: DensityMatrix,
         rho = DensityMatrix(rho, alphabet.tol)
     if rho.dim != alphabet.dim:
         raise UsageError("density matrix dimension does not match the alphabet")
-    return _eigenspace_ideal(alphabet, rho.matrix, op, delta, depth, budget)
+    return _eigenspace_ideal(alphabet, rho.matrix, op, delta, depth)

@@ -57,22 +57,21 @@ class ProjStringMonoid:
             return max_len + 1
         return (a ** (max_len + 1) - 1) // (a - 1) if a else 1
 
-    def levels(self, max_len: int, budget: int = DEFAULT_STRING_BUDGET) -> Iterator[list[Letters]]:
+    def levels(self, max_len: int) -> Iterator[list[Letters]]:
         """Strings of each length 0..max_len: level k+1 is each letter (slowest) + level k."""
         if max_len < 0:
             raise PreconditionError("max_len must be non-negative")
-        if (count := self.count_strings(max_len)) > budget:
-            raise CapacityError(f"{count} strings exceed budget {budget}")
+        if (count := self.count_strings(max_len)) > DEFAULT_STRING_BUDGET:
+            raise CapacityError(f"{count} strings exceed budget {DEFAULT_STRING_BUDGET}")
         level = [()]
         yield level
         for _ in range(max_len):
             level = [(a,) + q for a in self.alphabet for q in level]
             yield level
 
-    def enumerate_strings(self, max_len: int,
-                          budget: int = DEFAULT_STRING_BUDGET) -> Iterator[Letters]:
+    def enumerate_strings(self, max_len: int) -> Iterator[Letters]:
         """All strings of length <= max_len, shortest first, each exactly once."""
-        yield from itertools.chain.from_iterable(self.levels(max_len, budget))
+        yield from itertools.chain.from_iterable(self.levels(max_len))
 
 
 @dataclass(frozen=True)

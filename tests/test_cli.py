@@ -318,6 +318,17 @@ def test_cli_truth_invariant_rejects_a_point_outside_the_carrier():
     assert payload["diagnostics"][0]["message"] == "7 is not a carrier point"
 
 
+def test_cli_truth_leq_on_an_empty_carrier_is_the_full_ideal(tmp_path):
+    path = fixture_with(tmp_path, "mset E { monoid M2; points 0; action [[],[]]; }")
+    code, out = run_cli(["truth", path, "--mset", "E", "--kind", "leq",
+                         "--subset", "{}", "--subset2", "{}"])
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["status"] == "ok"
+    assert payload["result"]["ideal"]["is_full"]
+    assert payload["result"]["ideal"]["members"] == ["0", "1"]
+
+
 @pytest.mark.parametrize("name", ["valuate_vector", "equal_sp"])
 def test_cli_rejects_repeated_alphabet_letters(name):
     argv = list(RUNS[name])
@@ -453,6 +464,21 @@ def test_cli_parse_reports_numbers_it_cannot_use(tmp_path, capsys, declaration, 
     payload = json.loads(out)
     assert payload["status"] == "error"
     assert payload["diagnostics"] == [diagnostic]
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("declaration,message", [
+    ("classical D { values {0,1}; states (s0,s1); quantity A [0,1]; quantity A [1,1]; }",
+     "duplicate quantity name 'A'"),
+    ("query twice { run parse; run valuate; }", "duplicate query entry 'run'"),
+])
+def test_cli_parse_rejects_a_repeated_name_inside_a_declaration(tmp_path, capsys,
+                                                                declaration, message):
+    code, out = run_cli(["parse", fixture_with(tmp_path, declaration)])
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["status"] == "error"
+    assert payload["diagnostics"] == [{"line": 22, "col": 1, "message": message}]
     assert capsys.readouterr().err == ""
 
 

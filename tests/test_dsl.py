@@ -115,6 +115,18 @@ def test_repeated_member_names_are_a_diagnostic(members):
         (1, 1, f"duplicate member name {members.split()[1]!r}")]
 
 
+@pytest.mark.parametrize("source,message", [
+    ("classical C { values {0,1}; states (s0,s1); quantity A [0,1]; quantity A [1,1]; }",
+     "duplicate quantity name 'A'"),
+    ("query q { run parse; run valuate; }", "duplicate query entry 'run'"),
+    ("query q { system S; run parse; system T; }", "duplicate query entry 'system'"),
+])
+def test_repeated_quantities_and_query_entries_are_a_diagnostic(source, message):
+    result = parse_spec("\n" + source)
+    assert result.spec is None
+    assert [(d.line, d.col, d.message) for d in result.diagnostics] == [(2, 1, message)]
+
+
 def test_duplicate_names_rejected():
     result = parse_spec("monoid M { elements 1; table [[0]]; }\n"
                         "monoid M { elements 1; table [[0]]; }")

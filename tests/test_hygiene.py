@@ -1,5 +1,6 @@
 """Static checks on the package source: no module imports a name it never
-uses, and no module imports a private (underscore) name of a sibling."""
+uses, no module imports a private (underscore) name of a sibling, and no
+module reads a private attribute of another module's objects."""
 
 import ast
 from pathlib import Path
@@ -31,6 +32,26 @@ def private_sibling_imports(source: str) -> list[str]:
                   for a in node.names if a.name.startswith("_"))
 
 
+def foreign_private_reads(source: str) -> list[str]:
+    """Private attributes (``obj._name``, not dunder) read off an object
+    other than ``self`` or ``cls`` that the module never defines: no
+    function, class, name or attribute of that name is bound in it."""
+    tree = ast.parse(source)
+    defined = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+            defined.add(node.attr)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            defined.add(node.id)
+    read = {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+            and node.attr.startswith("_") and not node.attr.endswith("__")
+            and not (isinstance(node.value, ast.Name) and node.value.id in ("self", "cls"))}
+    return sorted(read - defined)
+
+
 def test_detector_finds_unused_imports():
     source = ("import os\nimport numpy as np\nfrom typing import Iterator, Sequence\n"
               "def f(x: Sequence) -> int:\n    return np.size(x)\n")
@@ -52,3 +73,15 @@ def test_detector_finds_private_sibling_imports():
 @pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
 def test_module_imports_no_private_name_of_a_sibling(path):
     assert private_sibling_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_detector_finds_foreign_private_reads():
+    source = ("class A:\n    def _own(self):\n        return self._hidden, cls._meta\n"
+              "def f(a, b):\n    b._slot = 1\n"
+              "    return a._own(), a._slot, a.__dict__, a._theirs, b.c._deep\n")
+    assert foreign_private_reads(source) == ["_deep", "_theirs"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
+def test_module_reads_no_private_attribute_it_does_not_define(path):
+    assert foreign_private_reads(path.read_text(encoding="utf-8")) == []

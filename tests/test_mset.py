@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from monoidtopos.corpus import small_monoids
-from monoidtopos.errors import UsageError, ValidationError
-from monoidtopos.monoid import enumerate_left_ideals, ideal_action, map_monoid, map_monoid_values
-from monoidtopos.mset import (KFamily, MSet, arrow_to_invariant, characteristic_arrow,
+from monoidtopos.errors import CapacityError, UsageError, ValidationError
+from monoidtopos.monoid import (FiniteMonoid, enumerate_left_ideals, ideal_action, map_monoid,
+                                map_monoid_values)
+from monoidtopos.mset import (ACTION_CHECK_BUDGET, KFamily, MSet, arrow_to_invariant, characteristic_arrow,
                               equivariant_maps_to_ideals, family_from_subset,
                               family_to_lambda, invariant_subsets, is_invariant,
                               lambda_to_family, left_regular, product_mset,
@@ -59,6 +60,43 @@ def test_action_law_check_matches_loop_on_random_tables():
             with pytest.raises(ValidationError,
                                match=rf"^action law fails at m={m}, n={n}, point index {i}$"):
                 MSet(mon, range(k), table)
+
+
+def test_action_budget_is_checked_before_the_action_is_called():
+    def never(m, x):
+        raise AssertionError("the action was called")
+
+    mon = map_monoid(3)
+    points = ACTION_CHECK_BUDGET // mon.size ** 2 + 1
+    with pytest.raises(CapacityError, match="^action-law validation would exceed its budget$"):
+        MSet(mon, range(points), never)
+
+
+def test_action_is_kept_as_one_read_only_table(points2, mm2):
+    assert points2.table.tolist() == [[0, 0], [0, 1], [1, 0], [1, 1]]
+    assert points2.table.dtype == np.uint8
+    with pytest.raises(ValueError):
+        points2.table[0, 0] = 1
+    assert MSet(mm2, range(300), lambda m, x: x).table.dtype == np.uint16
+    assert left_regular(mm2).table.tolist() == [list(row) for row in mm2.table]
+
+
+def test_an_action_leaving_the_carrier_names_the_first_element_and_point(mm2):
+    vals = map_monoid_values(2)
+    with pytest.raises(ValidationError, match=r"^action leaves the carrier at \(0, 1\)$"):
+        MSet(mm2, [0, 1], lambda m, x: 5 if (m, x) in ((0, 1), (2, 0)) else vals[m][x])
+
+
+@pytest.mark.parametrize("table,message", [
+    ([[0, 1], [1, 1]], "action table has wrong shape"),
+    ([[0, 1], [1, 1], [1], [0, 0]], "action table has wrong shape"),
+    ([[0, 1], [0, 2], [1, 0], [1, 1]], "action table entry out of range"),
+    ([[0, 1], [-1, 0], [1, 0], [1, 1]], "action table entry out of range"),
+    ([[0, 1], [10 ** 30, 0], [1, 0], [1, 1]], "action table entry out of range"),
+])
+def test_malformed_action_tables_are_rejected(mm2, table, message):
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        MSet(mm2, [0, 1], table)
 
 
 def test_trivial_and_full_subsets_invariant(points2):
@@ -144,8 +182,6 @@ def test_truth_equal(points2):
     assert truth_equal(points2, 0, 0).is_full
     assert truth_equal(points2, 0, 1).member_names() == ("f00", "f11")
     # a group acting on itself separates points
-    from monoidtopos.monoid import FiniteMonoid
-
     z2 = FiniteMonoid([[0, 1], [1, 0]])
     lr = left_regular(z2)
     assert truth_equal(lr, 0, 1).is_empty
@@ -210,6 +246,13 @@ def test_bijection_small_fixtures(points2, m2, mm2):
             assert arrow_to_invariant(ms, chi) == j
             assert any(all(chi[p].mask == other[p].mask for p in ms.points)
                        for other in arrows)
+
+
+def test_invariant_subsets_past_the_lattice_cap_are_a_capacity_error():
+    # the trivial action on 17 points has 2**17 invariant subsets, past IDEAL_COUNT_CAP
+    trivial = MSet(FiniteMonoid([[0]]), range(17), lambda m, x: x)
+    with pytest.raises(CapacityError, match="^invariant-subset lattice exceeds configured cap$"):
+        invariant_subsets(trivial)
 
 
 def test_product_mset_componentwise(points2):

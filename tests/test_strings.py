@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from monoidtopos.errors import CapacityError, PreconditionError, UsageError
-from monoidtopos.strings import ProjStringMonoid, bounded_ideal
+from monoidtopos.strings import DEFAULT_STRING_BUDGET, ProjStringMonoid, bounded_ideal
 
 ABC = ProjStringMonoid(("P", "Q", "R"))
 
@@ -64,8 +64,11 @@ def test_enumerate_unique_and_shortest_first():
 
 
 def test_enumerate_budget():
-    with pytest.raises(CapacityError):
-        list(ABC.enumerate_strings(4, budget=100))
+    # 3 letters to depth 13 is 2,391,484 strings, over DEFAULT_STRING_BUDGET:
+    # the count is checked before the first string is built
+    assert ABC.count_strings(13) == 2_391_484 > DEFAULT_STRING_BUDGET
+    with pytest.raises(CapacityError, match=f"^2391484 strings exceed budget {DEFAULT_STRING_BUDGET}$"):
+        next(ABC.enumerate_strings(13))
     with pytest.raises(PreconditionError):
         list(ABC.enumerate_strings(-1))
 
