@@ -26,19 +26,12 @@ def all_monoids_upto_iso(size: int) -> list[FiniteMonoid]:
         raise CapacityError("size must be positive")
     if size > 4:
         raise CapacityError("exhaustive enumeration is capped at size 4")
-    if size == 1:
-        return [FiniteMonoid([[0]])]
-    rest = range(1, size)
     seen = set()
     out = []
-    cells = [(i, j) for i in rest for j in rest]
-    for choice in itertools.product(range(size), repeat=len(cells)):
-        table = [[0] * size for _ in range(size)]
-        for j in range(size):
-            table[0][j] = j
-            table[j][0] = j
-        for (i, j), v in zip(cells, choice):
-            table[i][j] = v
+    w = size - 1
+    for choice in itertools.product(range(size), repeat=w * w):
+        # row and column 0 are the identity's; the choice fills the rest row by row
+        table = [tuple(range(size))] + [(i, *choice[(i - 1) * w:i * w]) for i in range(1, size)]
         m = FiniteMonoid(table)
         if not verify_associativity(m):
             continue
@@ -59,17 +52,14 @@ def small_monoids(max_size: int = 3) -> list[FiniteMonoid]:
 
 
 def _canonical_key(m: FiniteMonoid) -> tuple:
-    n = m.size
-    rest = [a for a in range(n) if a != m.identity]
-    best = None
-    for p in itertools.permutations(rest):
-        full = {m.identity: 0, **{a: i + 1 for i, a in enumerate(p)}}
-        inv = {v: k for k, v in full.items()}
-        key = tuple(tuple(full[m.table[inv[i]][inv[j]]] for j in range(n))
-                    for i in range(n))
+    table, best = m.table, None
+    for p in itertools.permutations([a for a in range(m.size) if a != m.identity]):
+        order = (m.identity, *p)   # the relabelled monoid's element i is order[i]
+        label = {a: i for i, a in enumerate(order)}
+        key = tuple(tuple(label[table[a][b]] for b in order) for a in order)
         if best is None or key < best:
             best = key
-    return (n, best)
+    return (m.size, best)
 
 
 def random_monoids(seed: int, count: int, sizes: Iterable[int] = (4, 5)) -> list[FiniteMonoid]:
@@ -84,9 +74,7 @@ def random_monoids(seed: int, count: int, sizes: Iterable[int] = (4, 5)) -> list
         if len(found) >= count:
             break
         k = int(rng.integers(2, 5))
-        n_gens = int(rng.integers(1, 3))
-        gens = [tuple(int(x) for x in rng.integers(0, k, size=k))
-                for _ in range(n_gens)]
+        gens = [tuple(rng.integers(0, k, size=k).tolist()) for _ in range(int(rng.integers(1, 3)))]
         try:
             m = submonoid_closure(gens, k, max_size=max(wanted, default=0))
         except CapacityError:

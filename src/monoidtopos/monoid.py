@@ -1,11 +1,12 @@
 """Finite monoids and the Heyting algebra of their left ideals.
 
 Elements of a monoid are the indices ``0..size-1``; the multiplication
-table is stored densely.  Left ideals are bitmasks over element indices.
-Every left ideal is the union of the principal ideals ``Mx`` inside it, so
-:func:`heyting_report` codes each ideal by one bit per distinct principal
-ideal and checks every law, on every pair and triple of ideals, as numpy
-identities on those codes.
+table is one dense array, and composition, principal ideals and the
+action on ideals are gathers from it.  Left ideals are bitmasks over
+element indices.  Every left ideal is the union of the principal ideals
+``Mx`` inside it, so :func:`heyting_report` codes each ideal by one bit
+per distinct principal ideal and checks every law, on every pair and
+triple of ideals, as numpy identities on those codes.
 """
 
 from __future__ import annotations
@@ -25,42 +26,51 @@ MONOID_SIZE_CAP = 4096
 class FiniteMonoid:
     """A multiplication table together with a designated identity.
 
-    ``table[a][b]`` is the product ``a*b``.  Associativity is *not*
-    enforced at construction (so that :func:`verify_associativity` can
-    report violations); the identity row and column are.
+    ``mul[a, b]`` is the product ``a*b`` (a read-only array in the narrowest
+    unsigned dtype), and ``table[a][b]`` the same in Python ints, built on
+    first use.  Associativity is *not* enforced at construction (so that
+    :func:`verify_associativity` can report violations); the identity row
+    and column are.
     """
 
-    __slots__ = ("size", "table", "identity", "names", "_reach", "_ideals")
+    __slots__ = ("size", "mul", "identity", "names", "_rows", "_reach", "_ideals")
 
     def __init__(self, table: Sequence[Sequence[int]], identity: int = 0,
                  names: Optional[Sequence[str]] = None):
-        rows = tuple(tuple(int(x) for x in row) for row in table)
-        size = len(rows)
+        self.size = size = len(table)
         if size == 0:
             raise StructureError("multiplication table is empty")
         if size > MONOID_SIZE_CAP:
             raise CapacityError(f"monoid size {size} exceeds cap {MONOID_SIZE_CAP}")
-        for row in rows:
-            if len(row) != size:
-                raise StructureError("multiplication table is not square")
-            for x in row:
-                if not 0 <= x < size:
-                    raise StructureError(f"table entry {x} out of range 0..{size - 1}")
+        # an out-of-range entry above the first ragged row is reported first
+        square = next((i for i, row in enumerate(table) if len(row) != size), size)
+        mul = np.asarray(table[:square]).reshape(square, size)
+        bad = mul[(mul < 0) | (mul >= size)]
+        if len(bad):
+            raise StructureError(f"table entry {bad[0]} out of range 0..{size - 1}")
+        if square < size:
+            raise StructureError("multiplication table is not square")
         if not 0 <= identity < size:
             raise StructureError(f"identity index {identity} out of range")
-        for a in range(size):
-            if rows[identity][a] != a or rows[a][identity] != a:
-                raise StructureError("identity row/column is not the identity permutation")
+        self.mul = mul = mul.astype(np.min_scalar_type(size - 1))
+        mul.flags.writeable = False
+        ident = np.arange(size)
+        if np.count_nonzero((mul[identity] != ident) | (mul[:, identity] != ident)):
+            raise StructureError("identity row/column is not the identity permutation")
         if names is not None:
             names = tuple(str(n) for n in names)
             if len(names) != size:
                 raise StructureError("need exactly one name per element")
-        self.size = size
-        self.table = rows
         self.identity = identity
         self.names = names
+        self._rows: Optional[tuple[tuple[int, ...], ...]] = None
         self._reach: Optional[tuple[int, ...]] = None
         self._ideals: Optional[tuple["LeftIdeal", ...]] = None
+
+    @property
+    def table(self) -> tuple[tuple[int, ...], ...]:
+        self._rows = self._rows or tuple(map(tuple, self.mul.tolist()))
+        return self._rows
 
     def name_of(self, a: int) -> str:
         return self.names[a] if self.names is not None else str(a)
@@ -68,7 +78,7 @@ class FiniteMonoid:
     def reach_masks(self) -> tuple[int, ...]:
         """For each element x, the bitmask of {m*x | m in M} (its principal left ideal)."""
         if self._reach is None:
-            self._reach = tuple(sum(1 << p for p in set(column)) for column in zip(*self.table))
+            self._reach = tuple(orbit_masks(self.mul))
         return self._reach
 
     def empty_ideal(self) -> "LeftIdeal":
@@ -90,21 +100,37 @@ class FiniteMonoid:
 
 
 def verify_associativity(m: FiniteMonoid) -> bool:
-    """Exhaustive check of ``(ab)c == a(bc)`` over all triples."""
-    t = np.asarray(m.table, dtype=np.intp)
-    # left[a,b,c] = (ab)c ; right[a,b,c] = a(bc)
-    return bool(np.array_equal(t[t, :], t[:, t]))
+    """Exhaustive check of ``(ab)c == a(bc)`` over all triples, one a at a time."""
+    return not any(np.count_nonzero(m.mul.take(row, axis=0) != row.take(m.mul)) for row in m.mul)
+
+
+def orbit_masks(table: np.ndarray) -> list[int]:
+    """For each column i of an action table, the bitmask of {table[m, i] | m}."""
+    hit = np.zeros((table.shape[1],) * 2, dtype=bool)
+    hit[np.arange(table.shape[1]), table] = True
+    return row_masks(hit)
+
+
+def row_masks(rows: np.ndarray) -> list[int]:
+    """Each row of a boolean matrix as the bitmask of its true columns."""
+    return [int.from_bytes(row, "little") for row in np.packbits(rows, axis=1, bitorder="little")]
+
+
+def mask_rows(masks: Sequence[int], size: int) -> np.ndarray:
+    """Bitmasks as boolean rows of length size, the inverse of :func:`row_masks`."""
+    raw = b"".join(mask.to_bytes(size // 8 + 1, "little") for mask in masks)
+    return np.unpackbits(np.frombuffer(raw, np.uint8).reshape(len(masks), size // 8 + 1),
+                         axis=1, count=size, bitorder="little").view(bool)
 
 
 def _is_ideal_mask(m: FiniteMonoid, mask: int) -> bool:
-    acc = 0
-    reach = m.reach_masks()
-    rest = mask
+    reach, rest = m.reach_masks(), mask
     while rest:
         low = rest & -rest
-        acc |= reach[low.bit_length() - 1]
+        if reach[low.bit_length() - 1] & ~mask:
+            return False
         rest ^= low
-    return acc | mask == mask
+    return True
 
 
 @dataclass(frozen=True)
@@ -174,8 +200,7 @@ def ideal_action(m: int, ideal: LeftIdeal) -> LeftIdeal:
     mon = ideal.monoid
     if not 0 <= m < mon.size:
         raise UsageError(f"element index {m} out of range")
-    return LeftIdeal(mon, sum(1 << mp for mp in range(mon.size)
-                              if ideal.mask >> mon.table[mp][m] & 1))
+    return LeftIdeal(mon, row_masks(mask_rows([ideal.mask], mon.size)[:, mon.mul[:, m]])[0])
 
 
 def heyting_implies(lhs: LeftIdeal, rhs: LeftIdeal) -> LeftIdeal:
@@ -183,11 +208,8 @@ def heyting_implies(lhs: LeftIdeal, rhs: LeftIdeal) -> LeftIdeal:
     i.e. whose principal ideal Mm meets lhs only inside rhs."""
     lhs._check_same(rhs)
     outside = lhs.mask & ~rhs.mask
-    mask = 0
-    for m, reach in enumerate(lhs.monoid.reach_masks()):
-        if reach & outside == 0:
-            mask |= 1 << m
-    return LeftIdeal(lhs.monoid, mask)
+    return LeftIdeal(lhs.monoid, sum(1 << m for m, reach in enumerate(lhs.monoid.reach_masks())
+                                    if reach & outside == 0))
 
 
 def heyting_not(ideal: LeftIdeal) -> LeftIdeal:
@@ -252,31 +274,31 @@ def submonoid_closure(generator_maps: Iterable[tuple[int, ...]], k: int,
             raise StructureError("generator is not a self-map of the point set")
     # Every element is a product of generators, so a breadth-first search
     # from the identity that composes on the right with each generator
-    # reaches the whole monoid (Froidure & Pin 1997).
-    elems = {ident}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for f in frontier:
-            for g in gens:
-                h = tuple(f[g[x]] for x in range(k))
-                if h not in elems:
-                    elems.add(h)
-                    if len(elems) > max_size:
-                        raise CapacityError("closure exceeded size cap")
-                    nxt.append(h)
-        frontier = nxt
-    return _composition_monoid(sorted(elems))
+    # reaches the whole monoid (Froidure & Pin 1997).  ``found`` is its queue.
+    found, seen = [ident], {ident}
+    for f in found:
+        for g in gens:
+            h = tuple(map(f.__getitem__, g))
+            if h not in seen:
+                seen.add(h)
+                found.append(h)
+                if len(found) > max_size:
+                    raise CapacityError("closure exceeded size cap")
+    return _composition_monoid(sorted(found))
 
 
 def _composition_monoid(maps: list[tuple[int, ...]]) -> FiniteMonoid:
-    """The sorted self-maps of {0..k-1} (the identity among them) under
-    composition, each named 'f' followed by its value digits."""
+    """The sorted self-maps of {0..k-1} (the identity among them) under composition,
+    each named 'f' followed by its value digits.  Digit x of the base-k code of f∘g is
+    ``values[f, values[g, x]]``; the maps' own codes, the identity column, are sorted."""
     k = len(maps[0])
-    index = {f: i for i, f in enumerate(maps)}
-    table = [[index[tuple(f[g[x]] for x in range(k))] for g in maps] for f in maps]
+    values = np.array(maps, dtype=np.min_scalar_type(k - 1))
+    identity = maps.index(tuple(range(k)))
+    codes = np.zeros((len(maps),) * 2, dtype=np.min_scalar_type(k ** k - 1))  # object from k = 17
+    for x in range(k):
+        codes = codes * k + values.take(values[:, x], axis=1)
     names = ["f" + "".join(str(v) for v in f) for f in maps]
-    return FiniteMonoid(table, identity=index[tuple(range(k))], names=names)
+    return FiniteMonoid(codes[:, identity].searchsorted(codes), identity, names)
 
 
 # ---------------------------------------------------------------------------

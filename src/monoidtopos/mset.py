@@ -20,7 +20,8 @@ from typing import Callable, Hashable, Iterable, Mapping, Optional, Sequence
 import numpy as np
 
 from .errors import CapacityError, UsageError, ValidationError
-from .monoid import FiniteMonoid, LeftIdeal, enumerate_left_ideals, ideal_action, union_closure
+from .monoid import (FiniteMonoid, LeftIdeal, enumerate_left_ideals, ideal_action, mask_rows,
+                     orbit_masks, row_masks, union_closure)
 
 Point = Hashable
 
@@ -75,7 +76,7 @@ class MSet:
         # One row m at a time: table[m] taken at table is "act by n, then by
         # m" for every (n, i), and the rows mul[m] of table are "act by the
         # product mn"; both stay in the table's narrow dtype.
-        for m, row in enumerate(monoid.table):
+        for m, row in enumerate(monoid.mul):
             bad = table[m].take(table) != table.take(row, axis=0)
             if bad.any():
                 nn, i = (int(v) for v in np.argwhere(bad)[0])
@@ -107,7 +108,7 @@ class MSet:
 
 def left_regular(monoid: FiniteMonoid) -> MSet:
     """The monoid acting on itself by left multiplication."""
-    return MSet(monoid, range(monoid.size), monoid.table)
+    return MSet(monoid, range(monoid.size), monoid.mul)
 
 
 def product_mset(x: MSet, y: MSet) -> MSet:
@@ -124,8 +125,7 @@ def product_mset(x: MSet, y: MSet) -> MSet:
 def _ideal_where(x: MSet, rows: np.ndarray) -> LeftIdeal:
     """The left ideal of the elements m whose row meets a condition, given
     as one boolean per element."""
-    bits = np.packbits(rows, bitorder="little").tobytes()
-    return LeftIdeal(x.monoid, int.from_bytes(bits, "little"))
+    return LeftIdeal(x.monoid, row_masks(rows[None])[0])
 
 
 def _members(x: MSet, subset: Iterable[Point]) -> np.ndarray:
@@ -203,8 +203,8 @@ class KFamily:
         object.__setattr__(self, "sets", tuple(frozenset(s) for s in self.sets))
         held = _held(self)
         # held[mul[m', m], table[m', i]] says m'*i lies in K_{m'm}, for each (m, i)
-        for mp, row in enumerate(mon.table):
-            bad = np.argwhere(held & ~held[list(row)][:, self.base.table[mp]])
+        for mp, row in enumerate(mon.mul):
+            bad = np.argwhere(held & ~held[row][:, self.base.table[mp]])
             if len(bad):
                 raise ValidationError(
                     f"family violates compatibility at m'={mp}, m={int(bad[0][0])}")
@@ -235,7 +235,7 @@ def truth_in_family(x: MSet, point: Point, family: KFamily) -> LeftIdeal:
 def family_to_lambda(family: KFamily) -> dict[tuple[Point, int], LeftIdeal]:
     """The pairing (x, m) -> {m' | m'x in K_{m'm}} induced by a family."""
     x, held = family.base, _held(family)
-    mul = np.array(x.monoid.table, dtype=np.intp)
+    mul = x.monoid.mul
     return {(p, m): _ideal_where(x, held[mul[:, m], x.table[:, i]])
             for i, p in enumerate(x.points) for m in range(x.monoid.size)}
 
@@ -264,9 +264,8 @@ def lambda_to_family(x: MSet, pairing: Mapping[tuple[Point, int], LeftIdeal]) ->
 
 def invariant_subsets(x: MSet) -> list[frozenset[Point]]:
     """All invariant subsets, smallest first: the unions of the orbits M·x."""
-    orbits = [sum(1 << i for i in set(column)) for column in x.table.T.tolist()]
     out = [frozenset(x.points[i] for i in range(len(x)) if mask >> i & 1)
-           for mask in union_closure(orbits, "invariant-subset lattice")]
+           for mask in union_closure(orbit_masks(x.table), "invariant-subset lattice")]
     out.sort(key=lambda s: (len(s), sorted(map(repr, s))))
     return out
 
@@ -279,8 +278,9 @@ def equivariant_maps_to_ideals(x: MSet) -> list[dict[Point, LeftIdeal]]:
     """
     mon = x.monoid
     ideals = enumerate_left_ideals(mon)
-    action_of = [{i.mask: ideal_action(m, i).mask for i in ideals}
-                 for m in range(mon.size)]
+    masks = [i.mask for i in ideals]
+    bits = mask_rows(masks, mon.size)   # action_of[m][I] = {m' | m'm in I}: one gather per m
+    action_of = [dict(zip(masks, row_masks(bits[:, column]))) for column in mon.mul.T]
     k = len(x.points)
     table = x.table.tolist()
     results: list[dict[Point, LeftIdeal]] = []

@@ -1,0 +1,36 @@
+"""Reference oracles for the monoid layer: the pure-Python bodies that
+``monoid.py`` replaced with gathers from the multiplication array.
+
+Each oracle reads the multiplication table as nested Python sequences and
+loops over elements (or pairs of maps) one at a time, as the library did
+before it kept the table as one array.  ``verify_associativity`` is the
+whole-cube broadcast that the row-by-row check replaced.
+"""
+
+import numpy as np
+
+
+def composition_monoid(maps):
+    """Table, identity index and names of the sorted self-maps ``maps`` of
+    {0..k-1} (the identity among them) under composition."""
+    k = len(maps[0])
+    index = {f: i for i, f in enumerate(maps)}
+    table = [[index[tuple(f[g[x]] for x in range(k))] for g in maps] for f in maps]
+    names = ["f" + "".join(str(v) for v in f) for f in maps]
+    return table, index[tuple(range(k))], names
+
+
+def reach_masks(table):
+    """For each element x, the bitmask of {m*x | m in M}."""
+    return tuple(sum(1 << p for p in set(column)) for column in zip(*table))
+
+
+def ideal_action(table, m, mask):
+    """The mask of the m' with ``m'*m`` in the ideal given by its mask."""
+    return sum(1 << mp for mp in range(len(table)) if mask >> table[mp][m] & 1)
+
+
+def verify_associativity(table):
+    """``(ab)c == a(bc)`` over all triples, as two ``(n, n, n)`` arrays."""
+    t = np.asarray(table, dtype=np.intp)
+    return bool(np.array_equal(t[t, :], t[:, t]))

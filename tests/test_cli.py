@@ -467,6 +467,21 @@ def test_cli_parse_reports_numbers_it_cannot_use(tmp_path, capsys, declaration, 
     assert capsys.readouterr().err == ""
 
 
+def test_cli_check_arrow_on_five_values_ends_in_the_action_budget(tmp_path, capsys):
+    # the map monoid on 5 values has 3,125 elements, so the subject M-set's
+    # law check would take 3,125² · 25 steps, past ACTION_CHECK_BUDGET
+    path = fixture_with(tmp_path, "classical F { values {0,1,2,3,4}; states (s0,s1); "
+                                  "quantity A [0,4]; }")
+    code, out = run_cli(["valuate-classical", path, "--system", "F", "--state", "s0",
+                         "--quantity", "A", "--range", "{0}", "--check-arrow"])
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["status"] == "error"
+    assert payload["diagnostics"] == [
+        {"line": 0, "col": 0, "message": "action-law validation would exceed its budget"}]
+    assert capsys.readouterr().err == ""
+
+
 @pytest.mark.parametrize("declaration,message", [
     ("classical D { values {0,1}; states (s0,s1); quantity A [0,1]; quantity A [1,1]; }",
      "duplicate quantity name 'A'"),

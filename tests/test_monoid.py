@@ -8,6 +8,7 @@ from monoidtopos.monoid import (HEYTING_LAW_NAMES, FiniteMonoid, LeftIdeal,
                                 map_monoid_values, submonoid_closure,
                                 verify_associativity)
 from monoidtopos.corpus import random_monoids, small_monoids
+from tests import monoid_oracle
 
 
 def test_constructor_rejects_malformed_tables():
@@ -332,16 +333,14 @@ def test_heyting_report_on_the_full_map_monoid_on_four_points():
 def test_map_monoid_composes_its_value_tuples():
     for k in range(1, 5):
         m = map_monoid(k)
-        maps = map_monoid_values(k)
-        index = {f: i for i, f in enumerate(maps)}
-        assert m.identity == index[tuple(range(k))]
-        assert m.names == tuple("f" + "".join(map(str, f)) for f in maps)
-        assert m.table == tuple(tuple(index[tuple(f[g[x]] for x in range(k))] for g in maps)
-                                for f in maps)
+        table, identity, names = monoid_oracle.composition_monoid(map_monoid_values(k))
+        assert m.identity == identity
+        assert m.names == tuple(names)
+        assert m.table == tuple(map(tuple, table))
 
 
 def test_reach_masks_are_the_principal_left_ideals():
-    for mon in _oracle_corpus():
-        assert mon.reach_masks() == tuple(
-            sum(1 << p for p in {mon.table[m][x] for m in range(mon.size)})
-            for x in range(mon.size))
+    lattices = [submonoid_closure(gens, 4) for gens in LATTICE_GENERATORS]
+    chains = [_min_chain(64), _min_chain(65)]
+    for mon in _oracle_corpus() + random_monoids(2027, 6) + lattices + chains + [map_monoid(4)]:
+        assert mon.reach_masks() == monoid_oracle.reach_masks(mon.table)

@@ -1,0 +1,184 @@
+"""The monoid layer's gathers against the loops of ``tests/monoid_oracle.py``,
+and the guards that come with keeping the table as one array: the
+constructor's error texts and their order, the Python-int ``table``, and
+the map monoid on five points.  (``tests/test_monoid.py`` compares the
+map monoids on up to 4 points and the principal ideals with the same
+oracle.)
+
+Every comparison is exact: the same tables, identities and names, the same
+ideal-action masks, the same equivariant maps and the same associativity
+verdicts.
+"""
+
+import itertools
+
+import numpy as np
+import pytest
+
+import tests.monoid_oracle as oracle
+from monoidtopos.corpus import random_monoids, small_monoids
+from monoidtopos.dsl import parse_spec
+from monoidtopos.errors import CapacityError, StructureError
+from monoidtopos.monoid import (FiniteMonoid, enumerate_left_ideals, ideal_action, map_monoid,
+                                map_monoid_values, submonoid_closure, verify_associativity)
+from monoidtopos.mset import equivariant_maps_to_ideals, left_regular
+from tests.test_monoid import LATTICE_GENERATORS, _closure_by_fixpoint, _min_chain
+
+
+def _rev_half(k):
+    """The reversal x -> k-1-x and the halving x -> x // 2 on k points."""
+    return [tuple(k - 1 - x for x in range(k)), tuple(x // 2 for x in range(k))]
+
+
+def _rot_const(k):
+    """The rotation x -> x+1 mod k and the constant map 0 on k points."""
+    return [tuple((x + 1) % k for x in range(k)), (0,) * k]
+
+
+# Closures on 5 to 20 points, whose base-k codes need uint16, uint32,
+# uint64 (up to 16**16 - 1, the largest uint64) and Python ints.
+WIDE_GENERATORS = ([(_rev_half(k), k) for k in (5, 7, 10, 16, 20)]
+                   + [(_rot_const(k), k) for k in (17, 20)])
+
+
+def _random_corpus():
+    return random_monoids(31, 12) + random_monoids(2027, 6)
+
+
+def _monoid_corpus():
+    """Every monoid the comparisons run on, map_monoid(4) aside."""
+    lattices = [submonoid_closure(gens, 4) for gens in LATTICE_GENERATORS]
+    maps = [map_monoid(k) for k in range(1, 4)]
+    return small_monoids(3) + maps + _random_corpus() + lattices + [_min_chain(64), _min_chain(65)]
+
+
+@pytest.mark.parametrize("gens,k", [(g, 4) for g in LATTICE_GENERATORS] + WIDE_GENERATORS)
+def test_submonoid_closure_matches_the_composition_oracle(gens, k):
+    mon = submonoid_closure(gens, k)
+    table, identity, names = oracle.composition_monoid(sorted(_closure_by_fixpoint(gens, k)))
+    assert (mon.table, mon.identity, mon.names) == (tuple(map(tuple, table)), identity, tuple(names))
+    assert mon.mul.dtype == np.min_scalar_type(mon.size - 1)
+
+
+def test_ideal_action_matches_the_oracle():
+    for mon in _monoid_corpus():
+        for ideal in enumerate_left_ideals(mon):
+            for m in range(mon.size):
+                assert ideal_action(m, ideal).mask == oracle.ideal_action(mon.table, m, ideal.mask)
+
+
+def test_ideal_action_matches_the_oracle_on_the_full_map_monoid_on_four_points():
+    mon = map_monoid(4)
+    sample = np.random.default_rng(2027).choice(mon.size, size=12, replace=False).tolist()
+    for ideal in enumerate_left_ideals(mon):
+        for m in sample + [mon.identity]:
+            assert ideal_action(m, ideal).mask == oracle.ideal_action(mon.table, m, ideal.mask)
+
+
+def test_equivariant_maps_are_the_oracle_characteristic_arrows():
+    # on the left-regular M-set the arrow classifying an ideal I sends x to
+    # the ideal action of x on I, so the maps are one per ideal
+    for mon in small_monoids(3) + _random_corpus()[:6] + [map_monoid(2)]:
+        lr = left_regular(mon)
+        expected = sorted(tuple(oracle.ideal_action(mon.table, x, ideal.mask)
+                                for x in range(mon.size))
+                          for ideal in enumerate_left_ideals(mon))
+        got = [tuple(chi[x].mask for x in lr.points) for chi in equivariant_maps_to_ideals(lr)]
+        assert got == expected
+
+
+def _tables_with_identity_zero(n):
+    cells = (n - 1) ** 2
+    for choice in itertools.product(range(n), repeat=cells):
+        yield [list(range(n))] + [[i, *choice[(i - 1) * (n - 1):i * (n - 1)]]
+                                  for i in range(1, n)]
+
+
+def test_associativity_row_by_row_matches_the_broadcast():
+    monoids = [FiniteMonoid(t) for t in _tables_with_identity_zero(3)]
+    m3 = map_monoid(3)
+    rng = np.random.default_rng(2027)
+    others = [a for a in range(m3.size) if a != m3.identity]
+    for _ in range(40):
+        bent = [list(row) for row in m3.table]
+        a, b = (int(v) for v in rng.choice(others, size=2))
+        bent[a][b] = int(rng.integers(0, m3.size))
+        monoids.append(FiniteMonoid(bent, m3.identity))
+    monoids += _monoid_corpus()
+    verdicts = [verify_associativity(m) for m in monoids]
+    assert verdicts == [oracle.verify_associativity(m.table) for m in monoids]
+    assert True in verdicts and False in verdicts
+
+
+def test_associativity_of_the_full_map_monoid_on_four_points():
+    # the broadcast needs two 256**3 intp arrays here; one row at a time does not
+    assert verify_associativity(map_monoid(4)) is True
+
+
+ERROR_CASES = [
+    # (table, identity, names, error type, text)
+    ([], 0, None, StructureError, "multiplication table is empty"),
+    ([[]] * 4097, 0, None, CapacityError, "monoid size 4097 exceeds cap 4096"),
+    ([[0, 1], [1]], 0, None, StructureError, "multiplication table is not square"),
+    ([[0], [1, 7]], 0, None, StructureError, "multiplication table is not square"),
+    ([[0, 5], [1]], 0, None, StructureError, "table entry 5 out of range 0..1"),
+    ([[0, 1, 2], [-1, 0, 1], [1]], 0, None, StructureError, "table entry -1 out of range 0..2"),
+    ([[0, 10 ** 30], [1, 0]], 0, None, StructureError,
+     "table entry 1000000000000000000000000000000 out of range 0..1"),
+    ([[0, 2], [1, 0]], 5, None, StructureError, "table entry 2 out of range 0..1"),
+    ([[0, 1], [1]], 5, None, StructureError, "multiplication table is not square"),
+    ([[0, 1], [1, 0]], 2, None, StructureError, "identity index 2 out of range"),
+    ([[0, 1], [1, 0]], -1, None, StructureError, "identity index -1 out of range"),
+    ([[1, 0], [0, 1]], 0, None, StructureError,
+     "identity row/column is not the identity permutation"),
+    ([[0, 1], [0, 1]], 0, None, StructureError,
+     "identity row/column is not the identity permutation"),
+    ([[1, 0], [0, 1]], 0, ["a"], StructureError,
+     "identity row/column is not the identity permutation"),
+    ([[0, 1], [1, 0]], 0, ["a"], StructureError, "need exactly one name per element"),
+]
+
+
+@pytest.mark.parametrize("table,identity,names,error,text", ERROR_CASES)
+def test_constructor_errors_and_their_order(table, identity, names, error, text):
+    with pytest.raises(error) as info:
+        FiniteMonoid(table, identity, names)
+    assert str(info.value) == text
+
+
+def _declared_monoid():
+    source = "monoid Z3 { elements 3; table [[0,1,2],[1,2,0],[2,0,1]]; }\n"
+    return parse_spec(source).spec.monoids["Z3"]
+
+
+@pytest.mark.parametrize("build", [
+    lambda: map_monoid(4),
+    lambda: submonoid_closure(LATTICE_GENERATORS[0], 4),
+    _declared_monoid,
+    lambda: FiniteMonoid(np.array([[0, 1], [1, 1]], dtype=np.int64)),
+])
+def test_table_stays_python_ints(build):
+    # independent checkers compute 1 << table[m][x], which numpy integers
+    # of a narrow dtype would wrap
+    mon = build()
+    assert type(mon.table) is tuple
+    assert all(type(row) is tuple and all(type(v) is int for v in row) for row in mon.table)
+    assert mon.mul.tolist() == [list(row) for row in mon.table]
+    assert mon.mul.dtype == np.min_scalar_type(mon.size - 1)
+    assert not mon.mul.flags.writeable
+    assert 1 << max(max(row) for row in mon.table) == 2 ** (mon.size - 1)
+
+
+def test_map_monoid_on_five_points():
+    mon = map_monoid(5)
+    maps = map_monoid_values(5)
+    assert mon.size == 3125 and mon.mul.dtype == np.uint16
+    assert mon.identity == maps.index((0, 1, 2, 3, 4)) == 194
+    assert mon.names[mon.identity] == "f01234"
+    identity_row = np.arange(mon.size)
+    assert (mon.mul[mon.identity] == identity_row).all()
+    assert (mon.mul[:, mon.identity] == identity_row).all()
+    rng = np.random.default_rng(2027)
+    for a, b in rng.integers(0, mon.size, size=(2000, 2)).tolist():
+        assert maps[mon.mul[a, b]] == tuple(maps[a][maps[b][x]] for x in range(5))
+    assert len(set(mon.reach_masks())) == 52
