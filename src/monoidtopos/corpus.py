@@ -13,7 +13,7 @@ import numpy as np
 from .errors import CapacityError
 from .linalg import (DEFAULT_TOL, HermitianOperator, TolerancePolicy,
                      hermitian_eig, orthonormalize)
-from .monoid import FiniteMonoid, submonoid_closure, verify_associativity
+from .monoid import FiniteMonoid, closure_maps, submonoid_closure, verify_associativity
 
 RANDOM_MONOID_ATTEMPTS = 20000
 
@@ -76,11 +76,12 @@ def random_monoids(seed: int, count: int, sizes: Iterable[int] = (4, 5)) -> list
         k = int(rng.integers(2, 5))
         gens = [tuple(rng.integers(0, k, size=k).tolist()) for _ in range(int(rng.integers(1, 3)))]
         try:
-            m = submonoid_closure(gens, k, max_size=max(wanted, default=0))
+            size = len(closure_maps(gens, k, max(wanted, default=0)))
         except CapacityError:
             continue
-        if m.size not in wanted:
+        if size not in wanted:
             continue
+        m = submonoid_closure(gens, k)   # the table only for a closure of a wanted size
         key = _canonical_key(m)
         if key in seen:
             continue

@@ -30,10 +30,13 @@ class FiniteMonoid:
     unsigned dtype), and ``table[a][b]`` the same in Python ints, built on
     first use.  Associativity is *not* enforced at construction (so that
     :func:`verify_associativity` can report violations); the identity row
-    and column are.
+    and column are.  ``_associative`` records a proof of associativity:
+    :func:`_composition_monoid` and a passing :func:`verify_associativity`
+    set it, and :meth:`generators` needs it.
     """
 
-    __slots__ = ("size", "mul", "identity", "names", "_rows", "_reach", "_ideals")
+    __slots__ = ("size", "mul", "identity", "names", "_rows", "_reach", "_ideals", "_gens",
+                 "_associative")
 
     def __init__(self, table: Sequence[Sequence[int]], identity: int = 0,
                  names: Optional[Sequence[str]] = None):
@@ -66,6 +69,8 @@ class FiniteMonoid:
         self._rows: Optional[tuple[tuple[int, ...], ...]] = None
         self._reach: Optional[tuple[int, ...]] = None
         self._ideals: Optional[tuple["LeftIdeal", ...]] = None
+        self._gens: Optional[tuple[int, ...]] = None
+        self._associative = False
 
     @property
     def table(self) -> tuple[tuple[int, ...], ...]:
@@ -80,6 +85,34 @@ class FiniteMonoid:
         if self._reach is None:
             self._reach = tuple(orbit_masks(self.mul))
         return self._reach
+
+    def generators(self) -> Optional[tuple[int, ...]]:
+        """A generating set (every element is the identity or a product of
+        these), or None while the monoid is not known to be associative.
+
+        Elements are taken by descending size of their principal ideal Mx, and
+        each one not yet reached by right products of those chosen becomes a
+        generator; the reached set then grows by a breadth-first right-Cayley
+        search (Froidure & Pin 1997).  map_monoid(k) gets k of them for k >= 2.
+        """
+        if self._gens is None and self._associative:
+            mul, gens = self.mul, []
+            reached = np.zeros(self.size, dtype=bool)
+            reached[self.identity] = True
+            sizes = np.array([mask.bit_count() for mask in self.reach_masks()])
+            for x in np.argsort(-sizes, kind="stable").tolist():
+                if reached[x]:
+                    continue
+                gens.append(x)
+                frontier, step = np.flatnonzero(reached), [x]   # new elements are r·x·w
+                while frontier.size:
+                    fresh = np.zeros(self.size, dtype=bool)   # a mark array, not np.unique
+                    fresh[mul[frontier[:, None], step]] = True
+                    fresh &= ~reached
+                    reached |= fresh
+                    frontier, step = np.flatnonzero(fresh), gens
+            self._gens = tuple(gens)
+        return self._gens
 
     def empty_ideal(self) -> "LeftIdeal":
         return LeftIdeal(self, 0)
@@ -100,8 +133,11 @@ class FiniteMonoid:
 
 
 def verify_associativity(m: FiniteMonoid) -> bool:
-    """Exhaustive check of ``(ab)c == a(bc)`` over all triples, one a at a time."""
-    return not any(np.count_nonzero(m.mul.take(row, axis=0) != row.take(m.mul)) for row in m.mul)
+    """Exhaustive check of ``(ab)c == a(bc)`` over all triples, one a at a time.
+    A pass is recorded on the monoid, so that :meth:`FiniteMonoid.generators` is defined."""
+    m._associative = not any(np.count_nonzero(m.mul.take(row, axis=0) != row.take(m.mul))
+                             for row in m.mul)
+    return m._associative
 
 
 def orbit_masks(table: np.ndarray) -> list[int]:
@@ -267,6 +303,13 @@ def submonoid_closure(generator_maps: Iterable[tuple[int, ...]], k: int,
                       max_size: int = MONOID_SIZE_CAP) -> FiniteMonoid:
     """Smallest composition-closed monoid of self-maps of {0..k-1}
     containing the generators (the identity is always adjoined)."""
+    return _composition_monoid(closure_maps(generator_maps, k, max_size))
+
+
+def closure_maps(generator_maps: Iterable[tuple[int, ...]], k: int,
+                 max_size: int = MONOID_SIZE_CAP) -> list[tuple[int, ...]]:
+    """The sorted value tuples of :func:`submonoid_closure`'s elements,
+    before any table is built."""
     ident = tuple(range(k))
     gens = [tuple(g) for g in generator_maps]
     for g in gens:
@@ -284,7 +327,7 @@ def submonoid_closure(generator_maps: Iterable[tuple[int, ...]], k: int,
                 found.append(h)
                 if len(found) > max_size:
                     raise CapacityError("closure exceeded size cap")
-    return _composition_monoid(sorted(found))
+    return sorted(found)
 
 
 def _composition_monoid(maps: list[tuple[int, ...]]) -> FiniteMonoid:
@@ -298,7 +341,9 @@ def _composition_monoid(maps: list[tuple[int, ...]]) -> FiniteMonoid:
     for x in range(k):
         codes = codes * k + values.take(values[:, x], axis=1)
     names = ["f" + "".join(str(v) for v in f) for f in maps]
-    return FiniteMonoid(codes[:, identity].searchsorted(codes), identity, names)
+    monoid = FiniteMonoid(codes[:, identity].searchsorted(codes), identity, names)
+    monoid._associative = True   # composition of maps is associative
+    return monoid
 
 
 # ---------------------------------------------------------------------------

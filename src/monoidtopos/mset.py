@@ -20,12 +20,13 @@ from typing import Callable, Hashable, Iterable, Mapping, Optional, Sequence
 import numpy as np
 
 from .errors import CapacityError, UsageError, ValidationError
-from .monoid import (FiniteMonoid, LeftIdeal, enumerate_left_ideals, ideal_action, mask_rows,
+from .monoid import (FiniteMonoid, LeftIdeal, enumerate_left_ideals, mask_rows,
                      orbit_masks, row_masks, union_closure)
 
 Point = Hashable
 
-# Exhaustive action-law validation touches |M|^2 * |carrier| triples.
+# Action-law validation touches |G| * |M| * |carrier| triples, G being the
+# monoid's generators when it is known to be associative and all of M otherwise.
 ACTION_CHECK_BUDGET = 50_000_000
 
 
@@ -36,7 +37,11 @@ class MSet:
     elements-by-points table of carrier indices, and is kept as the
     read-only array ``table`` in the narrowest unsigned dtype.  The action
     laws (identity acts trivially; acting by n then m equals acting by the
-    product mn) are verified exhaustively at construction.
+    product mn) are verified at construction.  When the monoid is known to
+    be associative, checking every m against each generator g proves the law
+    for every n, by induction on the length of n as a word in the
+    generators; otherwise, and to name the first failing ``(m, n, point)``,
+    every pair is scanned.
     """
 
     __slots__ = ("monoid", "points", "_index", "table")
@@ -49,7 +54,8 @@ class MSet:
             raise ValidationError("carrier points must be distinct")
         self._index = {x: i for i, x in enumerate(self.points)}
         n, k = monoid.size, len(self.points)
-        if n * n * k > ACTION_CHECK_BUDGET:
+        gens = monoid.generators()
+        if (n if gens is None else len(gens)) * n * k > ACTION_CHECK_BUDGET:
             raise CapacityError("action-law validation would exceed its budget")
         if callable(action):
             table = np.array([[self._index.get(action(m, x), -1) for x in self.points]
@@ -73,15 +79,16 @@ class MSet:
         table.flags.writeable = False
         if (table[monoid.identity] != np.arange(k)).any():
             raise ValidationError("identity element does not act trivially")
-        # One row m at a time: table[m] taken at table is "act by n, then by
-        # m" for every (n, i), and the rows mul[m] of table are "act by the
-        # product mn"; both stay in the table's narrow dtype.
-        for m, row in enumerate(monoid.mul):
-            bad = table[m].take(table) != table.take(row, axis=0)
-            if bad.any():
-                nn, i = (int(v) for v in np.argwhere(bad)[0])
-                raise ValidationError(
-                    f"action law fails at m={m}, n={nn}, point index {i}")
+        # For each generator g, table taken at table[g] is "act by g, then
+        # by m" for every (m, i), and the rows mul[:, g] of table are "act by
+        # the product mg"; both stay in the table's narrow dtype.
+        if gens is not None and not any(
+                (table.take(table[g], axis=1) != table.take(monoid.mul[:, g], axis=0)).any()
+                for g in gens):
+            return
+        # a generator's failure is a failure in its row, so the scan names one
+        if failure := _first_law_failure(monoid.mul, table):
+            raise ValidationError("action law fails at m={}, n={}, point index {}".format(*failure))
 
     def act(self, m: int, x: Point) -> Point:
         return self.points[self.table[m, self._index[x]]]
@@ -104,6 +111,18 @@ class MSet:
 
     def __repr__(self):
         return f"MSet({len(self.points)} points over size-{self.monoid.size} monoid)"
+
+
+def _first_law_failure(mul: np.ndarray, table: np.ndarray) -> Optional[tuple[int, int, int]]:
+    """The first (m, n, i), one row m at a time, where acting by n and then
+    by m differs from acting by the product mn: table[m] taken at table is
+    the first for every (n, i), and the rows mul[m] of table the second."""
+    for m, row in enumerate(mul):
+        bad = table[m].take(table) != table.take(row, axis=0)
+        if bad.any():
+            n, i = (int(v) for v in np.argwhere(bad)[0])
+            return m, n, i
+    return None
 
 
 def left_regular(monoid: FiniteMonoid) -> MSet:
@@ -251,11 +270,16 @@ def lambda_to_family(x: MSet, pairing: Mapping[tuple[Point, int], LeftIdeal]) ->
         for m in range(mon.size):
             if (p, m) not in pairing:
                 raise ValidationError(f"pairing undefined at ({p!r}, {m})")
-            ideal = pairing[p, m]
-            if ideal.monoid is not mon:
+            if pairing[p, m].monoid is not mon:
                 raise UsageError("pairing values belong to a different monoid")
-            for mp in range(mon.size):
-                if pairing[x.act(mp, p), mon.table[mp][m]].mask != ideal_action(mp, ideal).mask:
+    for i, p in enumerate(x.points):
+        moved = x.table[:, i].tolist()
+        for m in range(mon.size):
+            # row m' of the gather is the ideal action of m': bit m'' says m''m' is in the ideal
+            acted = row_masks(mask_rows([pairing[p, m].mask], mon.size)[0][mon.mul.T])
+            targets = zip(moved, mon.mul[:, m].tolist(), acted)
+            for mp, (j, mpm, mask) in enumerate(targets):
+                if pairing[x.points[j], mpm].mask != mask:
                     raise ValidationError(
                         f"pairing is not equivariant at ({p!r}, {m}) under {mp}")
     return KFamily(x, tuple(frozenset(p for p in x.points if pairing[p, m].is_full)
@@ -278,7 +302,8 @@ def equivariant_maps_to_ideals(x: MSet) -> list[dict[Point, LeftIdeal]]:
     """
     mon = x.monoid
     ideals = enumerate_left_ideals(mon)
-    masks = [i.mask for i in ideals]
+    by_mask = {i.mask: i for i in ideals}
+    masks = list(by_mask)
     bits = mask_rows(masks, mon.size)   # action_of[m][I] = {m' | m'm in I}: one gather per m
     action_of = [dict(zip(masks, row_masks(bits[:, column]))) for column in mon.mul.T]
     k = len(x.points)
@@ -305,8 +330,7 @@ def equivariant_maps_to_ideals(x: MSet) -> list[dict[Point, LeftIdeal]]:
         while i < k and assignment[i] is not None:
             i += 1
         if i == k:
-            results.append({x.points[j]: LeftIdeal(mon, assignment[j])
-                            for j in range(k)})
+            results.append({x.points[j]: by_mask[assignment[j]] for j in range(k)})
             return
         for ideal in ideals:
             undo: list[int] = []

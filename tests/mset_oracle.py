@@ -5,8 +5,11 @@ Each oracle reads the action only through ``MSet.act`` and ``MSet.index``
 and loops over every element (and every point or subset) in Python, as
 the library did before its action became one integer array.  The product
 oracle is the callback product: the action is called once per element and
-point of the product carrier.
+point of the product carrier.  The action-law oracle is the exhaustive row
+scan that the generator check of associative monoids replaced.
 """
+
+import numpy as np
 
 from monoidtopos.errors import CapacityError, ValidationError
 from monoidtopos.mset import MSet
@@ -99,3 +102,29 @@ def product_mset(x, y):
     """The callback product: one action call per element and point."""
     points = [(a, b) for a in x.points for b in y.points]
     return MSet(x.monoid, points, lambda m, p: (x.act(m, p[0]), y.act(m, p[1])))
+
+
+def action_law_failure(monoid, table):
+    """The exhaustive row scan ``MSet`` runs on every pair of elements: the
+    first (m, n, i), row by row, where acting by n and then by m differs
+    from acting by the product mn, or None."""
+    table = np.asarray(table)
+    for m, row in enumerate(monoid.mul):
+        bad = table[m].take(table) != table.take(row, axis=0)
+        if bad.any():
+            n, i = (int(v) for v in np.argwhere(bad)[0])
+            return m, n, i
+    return None
+
+
+def right_cayley_closure(monoid, gens):
+    """The elements reached from the identity by right multiplication by
+    the generators, one product at a time."""
+    found, queue = {monoid.identity}, [monoid.identity]
+    for a in queue:
+        for g in gens:
+            b = monoid.table[a][g]
+            if b not in found:
+                found.add(b)
+                queue.append(b)
+    return found

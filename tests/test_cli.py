@@ -467,11 +467,27 @@ def test_cli_parse_reports_numbers_it_cannot_use(tmp_path, capsys, declaration, 
     assert capsys.readouterr().err == ""
 
 
-def test_cli_check_arrow_on_five_values_ends_in_the_action_budget(tmp_path, capsys):
-    # the map monoid on 5 values has 3,125 elements, so the subject M-set's
-    # law check would take 3,125² · 25 steps, past ACTION_CHECK_BUDGET
+def test_cli_check_arrow_on_five_values_and_two_states_agrees(tmp_path, capsys):
+    # the map monoid on 5 values has 3,125 elements and 5 generators, so the
+    # law check of the 800-point proposition M-set takes 5 · 3,125 · 800 steps
     path = fixture_with(tmp_path, "classical F { values {0,1,2,3,4}; states (s0,s1); "
                                   "quantity A [0,4]; }")
+    code, out = run_cli(["valuate-classical", path, "--system", "F", "--state", "s1",
+                         "--quantity", "A", "--range", "{0}", "--check-arrow"])
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert result["routes_agree"] is True
+    # A is 4 at s1, so the ideal holds the 5^4 maps that send 4 to 0
+    assert result["arrow_ideal"] == result["ideal"]
+    assert result["ideal"]["member_count"] == 625
+    assert capsys.readouterr().err == ""
+
+
+def test_cli_check_arrow_on_five_values_ends_in_the_action_budget(tmp_path, capsys):
+    # with three states the proposition M-set has 4,000 points, and its law check
+    # would take 5 · 3,125 · 4,000 steps, past ACTION_CHECK_BUDGET
+    path = fixture_with(tmp_path, "classical F { values {0,1,2,3,4}; states (s0,s1,s2); "
+                                  "quantity A [0,4,2]; }")
     code, out = run_cli(["valuate-classical", path, "--system", "F", "--state", "s0",
                          "--quantity", "A", "--range", "{0}", "--check-arrow"])
     assert code == 1

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from monoidtopos.monoid import (HEYTING_LAW_NAMES, FiniteMonoid, LeftIdeal,
                                 heyting_report, ideal_action, map_monoid,
                                 map_monoid_values, submonoid_closure,
                                 verify_associativity)
+from monoidtopos import corpus
 from monoidtopos.corpus import random_monoids, small_monoids
 from tests import monoid_oracle
 
@@ -285,6 +288,29 @@ def test_breadth_first_closure_matches_fixpoint():
         assert m.identity == index[tuple(range(k))]
         assert m.table == tuple(tuple(index[tuple(f[g[x]] for x in range(k))]
                                       for g in ordered) for f in ordered)
+
+
+# sha256 of repr([(identity, names, table) ...]) of random_monoids(seed, 10)
+RANDOM_CORPUS_DIGESTS = {
+    11: "60565c917e702f137e9313b3dab82a54b08bc576016112331c355bc5bbc4f017",
+    2027: "f802adda5706cb9fa1fda730e4917f4fb9a2ea5036f596e48eb120ca982ba955",
+    424242: "84a5f40513e98ad39288c6f0b5d9de3afd2263a31a16825b1766c1442be05f3f",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(RANDOM_CORPUS_DIGESTS))
+def test_random_monoids_build_tables_only_for_the_wanted_sizes(seed, monkeypatch):
+    built, build = [], corpus.submonoid_closure
+
+    def closure(gens, k):
+        built.append(build(gens, k))
+        return built[-1]
+
+    monkeypatch.setattr(corpus, "submonoid_closure", closure)
+    found = random_monoids(seed, 10)
+    assert built and {m.size for m in built} <= {4, 5}
+    blob = repr([(m.identity, m.names, m.table) for m in found]).encode()
+    assert hashlib.sha256(blob).hexdigest() == RANDOM_CORPUS_DIGESTS[seed]
 
 
 def _min_chain(n: int) -> FiniteMonoid:

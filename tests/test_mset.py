@@ -66,8 +66,9 @@ def test_action_budget_is_checked_before_the_action_is_called():
     def never(m, x):
         raise AssertionError("the action was called")
 
+    # the map monoid is associative, so the law check costs |G|·|M|·|X| steps
     mon = map_monoid(3)
-    points = ACTION_CHECK_BUDGET // mon.size ** 2 + 1
+    points = ACTION_CHECK_BUDGET // (len(mon.generators()) * mon.size) + 1
     with pytest.raises(CapacityError, match="^action-law validation would exceed its budget$"):
         MSet(mon, range(points), never)
 
@@ -212,7 +213,9 @@ def test_family_constant_bounds(points2):
 
 
 def test_family_lambda_round_trips(points2, m2):
-    fixtures = [points2, left_regular(m2)]
+    # map_monoid(3) has left ideals that are not right ideals, so the
+    # ideal action of m' (m'' with m''m' in I) differs from its mirror
+    fixtures = [points2, left_regular(m2), left_regular(map_monoid(3))]
     for ms in fixtures:
         subsets = [set(), set(ms.points), {ms.points[0]}, {ms.points[-1]}]
         for k in subsets:
@@ -232,6 +235,20 @@ def test_lambda_to_family_rejects_non_equivariant(points2):
         else points2.monoid.full_ideal()
     with pytest.raises(ValidationError):
         lambda_to_family(points2, lam)
+
+
+def test_lambda_to_family_names_a_missing_pairing_entry():
+    regular = left_regular(map_monoid(2))
+    lam = dict(family_to_lambda(family_from_subset(regular, [0])))
+    del lam[3, 3]
+    with pytest.raises(ValidationError, match=r"^pairing undefined at \(3, 3\)$"):
+        lambda_to_family(regular, lam)
+
+
+def test_equivariant_maps_reuse_the_enumerated_ideals(mm2):
+    ideals = enumerate_left_ideals(mm2)
+    for chi in equivariant_maps_to_ideals(left_regular(mm2)):
+        assert all(any(value is ideal for ideal in ideals) for value in chi.values())
 
 
 def test_bijection_small_fixtures(points2, m2, mm2):
