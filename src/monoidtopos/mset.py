@@ -15,7 +15,7 @@ They disagree in general.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Hashable, Iterable, Mapping, Optional, Sequence
+from typing import Hashable, Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -33,48 +33,39 @@ ACTION_CHECK_BUDGET = 50_000_000
 class MSet:
     """A finite carrier with a left action of a finite monoid.
 
-    The action is given as a callable ``action(m, point)`` or as an
-    elements-by-points table of carrier indices, and is kept as the
-    read-only array ``table`` in the narrowest unsigned dtype.  The action
-    laws (identity acts trivially; acting by n then m equals acting by the
-    product mn) are verified at construction.  When the monoid is known to
-    be associative, checking every m against each generator g proves the law
-    for every n, by induction on the length of n as a word in the
-    generators; otherwise, and to name the first failing ``(m, n, point)``,
-    every pair is scanned.
+    The action is an elements-by-points table of carrier indices, kept as
+    the read-only array ``table`` in the narrowest unsigned dtype.  The
+    action laws (identity acts trivially; acting by n then m equals acting
+    by the product mn) are verified at construction.  When the monoid is
+    known to be associative, checking every m against each generator g
+    proves the law for every n, by induction on the length of n as a word in
+    the generators; otherwise every pair is scanned.  A failure is named by
+    the first failing ``(m, n, point)`` row by row while the rows fit
+    ``ACTION_CHECK_BUDGET``, and past them by a generator's.
     """
 
     __slots__ = ("monoid", "points", "_index", "table")
 
     def __init__(self, monoid: FiniteMonoid, points: Sequence[Point],
-                 action: Callable[[int, Point], Point] | Sequence[Sequence[int]]):
+                 action: Sequence[Sequence[int]]):
         self.monoid = monoid
         self.points = tuple(points)
         if len(set(self.points)) != len(self.points):
             raise ValidationError("carrier points must be distinct")
         self._index = {x: i for i, x in enumerate(self.points)}
         n, k = monoid.size, len(self.points)
-        gens = monoid.generators()
-        if (n if gens is None else len(gens)) * n * k > ACTION_CHECK_BUDGET:
-            raise CapacityError("action-law validation would exceed its budget")
-        if callable(action):
-            table = np.array([[self._index.get(action(m, x), -1) for x in self.points]
-                              for m in range(n)], dtype=np.intp)
-            if (table < 0).any():
-                m, i = (int(v) for v in np.argwhere(table < 0)[0])
-                raise ValidationError(f"action leaves the carrier at ({m}, {self.points[i]!r})")
-        else:
-            try:
-                table = np.asarray(action)
-                table = table if table.dtype.kind in "iu" else table.astype(np.intp)
-            except OverflowError:
-                raise ValidationError("action table entry out of range") from None
-            except (TypeError, ValueError):
-                raise ValidationError("action table has wrong shape") from None
-            if table.shape != (n, k):
-                raise ValidationError("action table has wrong shape")
-            if ((table < 0) | (table >= k)).any():
-                raise ValidationError("action table entry out of range")
+        check_action_budget(monoid, k)
+        try:
+            table = np.asarray(action)
+            table = table if table.dtype.kind in "iu" else table.astype(np.intp)
+        except OverflowError:
+            raise ValidationError("action table entry out of range") from None
+        except (TypeError, ValueError):
+            raise ValidationError("action table has wrong shape") from None
+        if table.shape != (n, k):
+            raise ValidationError("action table has wrong shape")
+        if ((table < 0) | (table >= k)).any():
+            raise ValidationError("action table entry out of range")
         self.table = table = table.astype(np.min_scalar_type(max(k - 1, 0)))
         table.flags.writeable = False
         if (table[monoid.identity] != np.arange(k)).any():
@@ -82,19 +73,22 @@ class MSet:
         # For each generator g, table taken at table[g] is "act by g, then
         # by m" for every (m, i), and the rows mul[:, g] of table are "act by
         # the product mg"; both stay in the table's narrow dtype.
-        if gens is not None and not any(
-                (table.take(table[g], axis=1) != table.take(monoid.mul[:, g], axis=0)).any()
-                for g in gens):
+        gens, witness = monoid.generators(), None
+        for g in gens or ():
+            if (bad := table.take(table[g], axis=1) != table.take(monoid.mul[:, g], axis=0)).any():
+                m, i = np.argwhere(bad)[0].tolist()
+                witness = m, g, i
+                break
+        if gens is not None and witness is None:
             return
-        # a generator's failure is a failure in its row, so the scan names one
-        if failure := _first_law_failure(monoid.mul, table):
+        # Name the first failure row by row while the rows fit the budget; it
+        # lies at or before the generator's, which is named past them.
+        rows = monoid.mul[:ACTION_CHECK_BUDGET // max(n * k, 1)]
+        if failure := _first_law_failure(rows, table) or witness:
             raise ValidationError("action law fails at m={}, n={}, point index {}".format(*failure))
 
     def act(self, m: int, x: Point) -> Point:
         return self.points[self.table[m, self._index[x]]]
-
-    def act_index(self, m: int, i: int) -> int:
-        return int(self.table[m, i])
 
     def index(self, x: Point) -> int:
         try:
@@ -113,10 +107,17 @@ class MSet:
         return f"MSet({len(self.points)} points over size-{self.monoid.size} monoid)"
 
 
+def check_action_budget(monoid: FiniteMonoid, points: int):
+    """Refuse an M-set whose law check exceeds the budget, before any table is read."""
+    gens = monoid.generators()
+    if (monoid.size if gens is None else len(gens)) * monoid.size * points > ACTION_CHECK_BUDGET:
+        raise CapacityError("action-law validation would exceed its budget")
+
+
 def _first_law_failure(mul: np.ndarray, table: np.ndarray) -> Optional[tuple[int, int, int]]:
-    """The first (m, n, i), one row m at a time, where acting by n and then
-    by m differs from acting by the product mn: table[m] taken at table is
-    the first for every (n, i), and the rows mul[m] of table the second."""
+    """The first (m, n, i), one row m of mul at a time, where acting by n and
+    then by m differs from acting by the product mn: table[m] taken at table
+    is the first for every (n, i), and the rows mul[m] of table the second."""
     for m, row in enumerate(mul):
         bad = table[m].take(table) != table.take(row, axis=0)
         if bad.any():
@@ -135,6 +136,7 @@ def product_mset(x: MSet, y: MSet) -> MSet:
     ``i*|Y| + j``, so ``m`` sends it to ``x.table[m, i]*|Y| + y.table[m, j]``."""
     if x.monoid is not y.monoid:
         raise UsageError("factors must share a monoid")
+    check_action_budget(x.monoid, len(x) * len(y))
     points = [(a, b) for a in x.points for b in y.points]
     wide = x.table.astype(np.min_scalar_type(max(len(points), len(y))))
     table = wide[:, :, None] * len(y) + y.table[:, None, :]

@@ -12,8 +12,7 @@ routes to the valuation are the shared ones of ``classical.py``.
 
 from __future__ import annotations
 
-import itertools
-from typing import Iterator, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -21,8 +20,7 @@ from . import classical
 from .errors import MissingNameError, PreconditionError, UsageError, ValidationError
 from .linalg import DEFAULT_TOL, HermitianOperator, TolerancePolicy, as_vector, hermitian_eig
 
-# An operator in the orbit of a named base: the base name together with
-# one value index per eigenvalue cluster of the base.
+# A named base operator relabelled: one value index per eigenvalue cluster.
 LabeledOperator = tuple[str, tuple[int, ...]]
 
 
@@ -32,8 +30,7 @@ class QuantumSystem(classical.ValueSetSystem):
     def __init__(self, dim: int, values: Sequence[float],
                  operators: dict[str, np.ndarray] | None = None,
                  tol: TolerancePolicy = DEFAULT_TOL):
-        self.dim = int(dim)
-        self.tol = tol
+        self.dim, self.tol = int(dim), tol
         super().__init__(values)
         self.operators: dict[str, HermitianOperator] = {}
         self.labels: dict[str, tuple[int, ...]] = {}
@@ -43,6 +40,8 @@ class QuantumSystem(classical.ValueSetSystem):
                 raise ValidationError(f"operator {name!r} has wrong dimension")
             self.operators[str(name)] = op
             self.labels[str(name)] = tuple(self._vindex[lam] for lam in op.eigenvalues)
+        self.blocks = {name: (len(self.labels[name]), lambda t, name=name: (name, t))
+                       for name in sorted(self.operators)}
 
     def operator(self, name: str) -> HermitianOperator:
         try:
@@ -70,34 +69,13 @@ class QuantumSystem(classical.ValueSetSystem):
             raise PreconditionError("state vector is null")
         return v, norm
 
-    def subjects(self) -> Iterator[LabeledOperator]:
-        nv = len(self.values)
-        for name in sorted(self.operators):
-            for labels in itertools.product(range(nv), repeat=len(self.labels[name])):
-                yield (name, labels)
-
-    @staticmethod
-    def relabel(f: tuple[int, ...], labeled: LabeledOperator) -> LabeledOperator:
-        name, labels = labeled
-        return (name, tuple(f[l] for l in labels))
-
-    def holds(self, state: tuple[np.ndarray, float], labeled: LabeledOperator,
-              gamma: frozenset[int]) -> bool:
-        """True iff the range projector of the operator fixes the state."""
+    def holds(self, state: tuple[np.ndarray, float], name: str, pattern: int) -> bool:
+        """True iff the range projector fixes the state: the sum, in cluster
+        order, of the operator's eigenprojectors whose bit is set in the pattern."""
         v, norm = state
-        proj = self.range_projector(labeled, gamma)
-        return float(np.linalg.norm(proj @ v - v)) <= self.tol.null_threshold * norm
-
-    def range_projector(self, labeled: LabeledOperator, gamma: frozenset[int]) -> np.ndarray:
-        """Projector onto the eigenspaces of the labelled operator whose
-        label lies in the index range."""
-        name, labels = labeled
-        base = self.operator(name)
-        total = np.zeros((self.dim, self.dim), dtype=complex)
-        for lab, proj in zip(labels, base.projectors):
-            if lab in gamma:
-                total = total + proj
-        return total
+        total = sum((p for j, p in enumerate(self.operators[name].projectors) if pattern >> j & 1),
+                    np.zeros((self.dim, self.dim), dtype=complex))
+        return float(np.linalg.norm(total @ v - v)) <= self.tol.null_threshold * norm
 
 
 # The paper's names for the quantum case of the shared construction.

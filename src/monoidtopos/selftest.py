@@ -47,8 +47,7 @@ def run_selftest(seed: int = 2027, tolerance: TolerancePolicy = DEFAULT_TOL) -> 
 
     # Characteristic arrows classify invariant subsets bijectively.
     mm = map_monoid(2)
-    vals = map_monoid_values(2)
-    fixtures = [left_regular(mm), MSet(mm, [0, 1], lambda m, x: vals[m][x])]
+    fixtures = [left_regular(mm), MSet(mm, [0, 1], map_monoid_values(2))]
     bijective = True
     for ms in fixtures:
         subsets = invariant_subsets(ms)

@@ -3,15 +3,21 @@ that ``mset.py`` replaced with conditions on the action table.
 
 Each oracle reads the action only through ``MSet.act`` and ``MSet.index``
 and loops over every element (and every point or subset) in Python, as
-the library did before its action became one integer array.  The product
-oracle is the callback product: the action is called once per element and
-point of the product carrier.  The action-law oracle is the exhaustive row
-scan that the generator check of associative monoids replaced.
+the library did before its action became one integer array.  Actions given
+as callbacks are evaluated into tables by ``table_of``, one call per element
+and point.  The product oracle is the callback product, and the
+proposition oracle is the callback construction of a value-set system's
+subject and range M-sets, with its own subject list and relabelling.  The
+action-law oracle is the exhaustive row scan that the generator check of
+associative monoids replaced.
 """
+
+import itertools
 
 import numpy as np
 
 from monoidtopos.errors import CapacityError, ValidationError
+from monoidtopos.monoid import map_monoid_values
 from monoidtopos.mset import MSet
 
 
@@ -98,10 +104,56 @@ def invariant_subsets(x):
     return out
 
 
+class Unreadable:
+    """An action whose table cannot be read."""
+
+    def __array__(self, *args, **kwargs):
+        raise AssertionError("the action table was read")
+
+
+def table_of(monoid, points, action):
+    """The action table of a callback ``action(m, point)``: one call per
+    element and point, each result looked up among the points."""
+    index = {x: i for i, x in enumerate(points)}
+    return [[index[action(m, x)] for x in points] for m in range(monoid.size)]
+
+
 def product_mset(x, y):
     """The callback product: one action call per element and point."""
     points = [(a, b) for a in x.points for b in y.points]
-    return MSet(x.monoid, points, lambda m, p: (x.act(m, p[0]), y.act(m, p[1])))
+    return MSet(x.monoid, points,
+                table_of(x.monoid, points, lambda m, p: (x.act(m, p[0]), y.act(m, p[1]))))
+
+
+def subjects(system):
+    """Every subject of a classical or quantum system, in the point order of
+    its proposition M-set: the quantities as label tuples, or each operator
+    by name with its cluster labels."""
+    nv = len(system.values)
+    if hasattr(system, "states"):
+        return list(itertools.product(range(nv), repeat=len(system.states)))
+    return [(name, labels) for name in sorted(system.operators)
+            for labels in itertools.product(range(nv), repeat=len(system.labels[name]))]
+
+
+def relabel(system, f, subject):
+    """The subject f(A): each value label replaced by its image under f."""
+    if hasattr(system, "states"):
+        return tuple(f[i] for i in subject)
+    name, labels = subject
+    return name, tuple(f[l] for l in labels)
+
+
+def proposition_factors(system):
+    """The subject and range M-sets of a value-set system, built by
+    callbacks: a map relabels a subject and sends a range to its image."""
+    maps, nv, monoid = map_monoid_values(len(system.values)), len(system.values), system.monoid
+    subject_points = subjects(system)
+    ranges = [frozenset(i for i in range(nv) if mask >> i & 1) for mask in range(1 << nv)]
+    return (MSet(monoid, subject_points,
+                 table_of(monoid, subject_points, lambda m, a: relabel(system, maps[m], a))),
+            MSet(monoid, ranges,
+                 table_of(monoid, ranges, lambda m, g: frozenset(maps[m][i] for i in g))))
 
 
 def action_law_failure(monoid, table):

@@ -102,3 +102,17 @@ def test_coarse_graining_preimage_identity(two_valued):
 def test_E_s_membership_alias(two_valued):
     assert E_s_membership(two_valued, "s0", "A", [0.0])
     assert not E_s_membership(two_valued, "s0", "A", [1.0])
+
+
+def test_patterns_of_more_than_sixty_three_states():
+    # a state past bit 63 of a pattern: the patterns are Python ints there
+    states = [f"s{i}" for i in range(70)]
+    one = ClassicalSystem(states, [0.0], {"A": [0.0] * 70})
+    assert generalized_classical_valuation(one, "s69", "A", [0.0]).is_full
+    assert E_s_valuation(one, "s69", "A", [0.0]).is_full
+    assert E_s_valuation(one, "s69", "A", []).is_empty
+    two = ClassicalSystem(states, [0.0, 1.0], {"A": [0.0] * 69 + [1.0]})
+    assert classical_truth(two, "s69", "A", [1.0])
+    assert not classical_truth(two, "s69", "A", [0.0])
+    # value 1 against range {0}: only the two collapsing maps qualify
+    assert generalized_classical_valuation(two, "s69", "A", [0.0]).member_names() == ("f00", "f11")

@@ -498,6 +498,23 @@ def test_cli_check_arrow_on_five_values_ends_in_the_action_budget(tmp_path, caps
     assert capsys.readouterr().err == ""
 
 
+@pytest.mark.parametrize("states", [4, 5])
+def test_cli_check_arrow_on_five_values_and_more_states_ends_in_the_action_budget(
+        tmp_path, capsys, states):
+    # five states would give 100,000 points and a product table of 3,125 rows;
+    # the budget is checked from the sizes before any table is built
+    names = ",".join(f"s{i}" for i in range(states))
+    values = ",".join(str(i % 5) for i in range(states))
+    path = fixture_with(tmp_path, f"classical F {{ values {{0,1,2,3,4}}; states ({names}); "
+                                  f"quantity A [{values}]; }}")
+    code, out = run_cli(["valuate-classical", path, "--system", "F", "--state", "s0",
+                         "--quantity", "A", "--range", "{0}", "--check-arrow"])
+    assert code == 1
+    assert json.loads(out)["diagnostics"] == [
+        {"line": 0, "col": 0, "message": "action-law validation would exceed its budget"}]
+    assert capsys.readouterr().err == ""
+
+
 @pytest.mark.parametrize("declaration,message", [
     ("classical D { values {0,1}; states (s0,s1); quantity A [0,1]; quantity A [1,1]; }",
      "duplicate quantity name 'A'"),

@@ -1,6 +1,10 @@
+import re
+
 import numpy as np
 import pytest
 
+import tests.mset_oracle as oracle
+from monoidtopos import mset
 from monoidtopos.corpus import small_monoids
 from monoidtopos.errors import CapacityError, UsageError, ValidationError
 from monoidtopos.monoid import (FiniteMonoid, enumerate_left_ideals, ideal_action, map_monoid,
@@ -15,8 +19,7 @@ from monoidtopos.mset import (ACTION_CHECK_BUDGET, KFamily, MSet, arrow_to_invar
 
 @pytest.fixture
 def points2(mm2):
-    vals = map_monoid_values(2)
-    return MSet(mm2, [0, 1], lambda m, x: vals[m][x])
+    return MSet(mm2, [0, 1], map_monoid_values(2))
 
 
 def test_action_laws_enforced(m2):
@@ -62,15 +65,51 @@ def test_action_law_check_matches_loop_on_random_tables():
                 MSet(mon, range(k), table)
 
 
-def test_action_budget_is_checked_before_the_action_is_called():
-    def never(m, x):
-        raise AssertionError("the action was called")
-
+def test_action_budget_is_checked_before_the_table_is_read():
     # the map monoid is associative, so the law check costs |G|·|M|·|X| steps
     mon = map_monoid(3)
     points = ACTION_CHECK_BUDGET // (len(mon.generators()) * mon.size) + 1
     with pytest.raises(CapacityError, match="^action-law validation would exceed its budget$"):
-        MSet(mon, range(points), never)
+        MSet(mon, range(points), oracle.Unreadable())
+    with pytest.raises(AssertionError, match="^the action table was read$"):
+        MSet(mon, range(3), oracle.Unreadable())
+
+
+def test_a_product_past_the_budget_is_refused_before_its_table_is_built(monkeypatch):
+    lr = left_regular(map_monoid(3))
+    monkeypatch.setattr(mset, "MSet", lambda *args: pytest.fail("the product was built"))
+    # one step short of |G|·|M|·|X| for 3 generators, 27 elements and 27² points
+    monkeypatch.setattr(mset, "ACTION_CHECK_BUDGET", 3 * 27 * 27 ** 2 - 1)
+    with pytest.raises(CapacityError, match="^action-law validation would exceed its budget$"):
+        product_mset(lr, lr)
+
+
+def test_a_callable_action_is_a_validation_error(mm2):
+    vals = map_monoid_values(2)
+    with pytest.raises(ValidationError, match="^action table has wrong shape$"):
+        MSet(mm2, [0, 1], lambda m, x: vals[m][x])
+
+
+def test_a_late_first_failure_past_the_budget_is_named_by_a_generator(monkeypatch):
+    # the natural action of the maps on three points, with f122 sending point 0
+    # to 0: the first failure in scan order is in row 3
+    mon = map_monoid(3)
+    table = np.array(map_monoid_values(3))
+    table[mon.names.index("f122"), 0] = 0
+    first = oracle.action_law_failure(mon, table)
+    assert first[0] == 3
+    text = "action law fails at m={}, n={}, point index {}"
+    with pytest.raises(ValidationError, match=f"^{text.format(*first)}$"):
+        MSet(mon, range(3), table)
+    # a budget of exactly the generator check leaves rows 0, 1 and 2 to scan
+    monkeypatch.setattr(mset, "ACTION_CHECK_BUDGET", len(mon.generators()) * mon.size * 3)
+    with pytest.raises(ValidationError) as caught:
+        MSet(mon, range(3), table)
+    named = tuple(map(int, re.fullmatch(r"action law fails at m=(\d+), n=(\d+), point index (\d+)",
+                                        str(caught.value)).groups()))
+    m, n, i = named
+    assert named != first and n in mon.generators()
+    assert table[m][table[n][i]] != table[mon.table[m][n]][i]
 
 
 def test_action_is_kept_as_one_read_only_table(points2, mm2):
@@ -78,14 +117,8 @@ def test_action_is_kept_as_one_read_only_table(points2, mm2):
     assert points2.table.dtype == np.uint8
     with pytest.raises(ValueError):
         points2.table[0, 0] = 1
-    assert MSet(mm2, range(300), lambda m, x: x).table.dtype == np.uint16
+    assert MSet(mm2, range(300), [range(300)] * mm2.size).table.dtype == np.uint16
     assert left_regular(mm2).table.tolist() == [list(row) for row in mm2.table]
-
-
-def test_an_action_leaving_the_carrier_names_the_first_element_and_point(mm2):
-    vals = map_monoid_values(2)
-    with pytest.raises(ValidationError, match=r"^action leaves the carrier at \(0, 1\)$"):
-        MSet(mm2, [0, 1], lambda m, x: 5 if (m, x) in ((0, 1), (2, 0)) else vals[m][x])
 
 
 @pytest.mark.parametrize("table,message", [
@@ -267,7 +300,7 @@ def test_bijection_small_fixtures(points2, m2, mm2):
 
 def test_invariant_subsets_past_the_lattice_cap_are_a_capacity_error():
     # the trivial action on 17 points has 2**17 invariant subsets, past IDEAL_COUNT_CAP
-    trivial = MSet(FiniteMonoid([[0]]), range(17), lambda m, x: x)
+    trivial = MSet(FiniteMonoid([[0]]), range(17), [range(17)])
     with pytest.raises(CapacityError, match="^invariant-subset lattice exceeds configured cap$"):
         invariant_subsets(trivial)
 

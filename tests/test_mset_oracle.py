@@ -137,19 +137,9 @@ def test_a_product_past_one_byte_of_indices_matches_the_oracle():
         assert prod.table.dtype == np.uint16
 
 
-def proposition_factors(system):
-    """The subject and range M-sets of a system, built by callbacks."""
-    maps, nv = system.maps, len(system.values)
-    subjects = MSet(system.monoid, system.subjects(), lambda m, a: system.relabel(maps[m], a))
-    ranges = MSet(system.monoid,
-                  [frozenset(i for i in range(nv) if mask >> i & 1) for mask in range(1 << nv)],
-                  lambda m, g: frozenset(maps[m][i] for i in g))
-    return subjects, ranges
-
-
 def assert_proposition_mset_matches(system, truth_sets, rng):
     new = classical.proposition_mset(system)
-    old = oracle.product_mset(*proposition_factors(system))
+    old = oracle.product_mset(*oracle.proposition_factors(system))
     assert new.points == old.points
     assert np.array_equal(new.table, old.table)
     points = [new.points[i] for i in rng.choice(len(new), size=4, replace=False)]
@@ -176,6 +166,20 @@ def test_quantum_proposition_msets_match_the_oracle(dim):
         np.random.default_rng(dim))
 
 
+@pytest.mark.parametrize("make", [
+    lambda: classical.ClassicalSystem(["s0", "s1"], range(5), {"A": [0, 4]}),
+    lambda: classical.ClassicalSystem([], [0.0, 1.0], {}),
+    lambda: quantum.QuantumSystem(2, [0.0, 1.0]),
+], ids=["five-values", "no-states", "no-operators"])
+def test_proposition_msets_of_edge_systems_match_the_callback_factors(make):
+    # the 800 points of the five-value system are past the callback product,
+    # so the factors are compared through the array product
+    system = make()
+    new, old = classical.proposition_mset(system), product_mset(*oracle.proposition_factors(system))
+    assert new.points == old.points
+    assert np.array_equal(new.table, old.table)
+
+
 def test_empty_carrier_matches_the_oracle():
     declaration = "mset E { monoid M2; points 0; action [[],[]]; }\n"
     result = parse_spec(FIXTURE.read_text(encoding="utf-8") + declaration)
@@ -187,7 +191,7 @@ def test_empty_carrier_matches_the_oracle():
     assert characteristic_arrow(empty, ()) == {}
     assert truth_subset_leq(empty, (), ()).is_full
     assert_truths_match(empty, [frozenset()], ())
-    wide = MSet(empty.monoid, range(300), lambda m, x: x)
+    wide = MSet(empty.monoid, range(300), [range(300)] * empty.monoid.size)
     assert product_mset(empty, wide).points == product_mset(wide, empty).points == ()
 
 

@@ -15,11 +15,13 @@ import pytest
 from monoidtopos import classical, quantum
 from monoidtopos.classical import ClassicalSystem
 from monoidtopos.corpus import random_labeled_hermitian, random_state
-from monoidtopos.errors import (MissingNameError, MonoidToposError, PreconditionError,
-                                UsageError, ValidationError)
+from monoidtopos.errors import (CapacityError, MissingNameError, MonoidToposError,
+                                PreconditionError, UsageError, ValidationError)
 from monoidtopos.linalg import as_vector
+from monoidtopos.monoid import map_monoid_values
 from monoidtopos.mset import MSet, is_invariant, truth_in_invariant
 from monoidtopos.quantum import QuantumSystem
+from tests.mset_oracle import table_of
 
 
 # ---------------------------------------------------------------------------
@@ -71,12 +73,13 @@ def oracle_classical_valuation(system, state, quantity, delta):
     s = _state_index(system, state)
     q = _quantity(system, quantity)
     dset = _range_indices(system, delta)
-    members = [i for i, f in enumerate(system.maps) if f[q[s]] in {f[d] for d in dset}]
+    members = [i for i, f in enumerate(map_monoid_values(len(system.values)))
+               if f[q[s]] in {f[d] for d in dset}]
     return system.monoid.ideal(members)
 
 
 def oracle_classical_mset(system):
-    maps = system.maps
+    maps = map_monoid_values(len(system.values))
     nv = len(system.values)
     quantities = [tuple(t) for t in itertools.product(range(nv), repeat=len(system.states))]
     points = [(q, g) for q in quantities for g in _all_subsets(nv)]
@@ -86,7 +89,7 @@ def oracle_classical_mset(system):
         f = maps[m]
         return (tuple(f[i] for i in q), frozenset(f[i] for i in g))
 
-    return MSet(system.monoid, points, act)
+    return MSet(system.monoid, points, table_of(system.monoid, points, act))
 
 
 def oracle_E_s_subset(system, state, mset):
@@ -116,6 +119,18 @@ def _labeled(system, ref):
     return (name, labels)
 
 
+def _range_projector(system, labeled, gamma):
+    """Projector onto the eigenspaces of the labelled operator whose label
+    lies in the index range."""
+    name, labels = labeled
+    base = system.operator(name)
+    total = np.zeros((system.dim, system.dim), dtype=complex)
+    for lab, proj in zip(labels, base.projectors):
+        if lab in gamma:
+            total = total + proj
+    return total
+
+
 def oracle_E_psi_membership(system, psi, operator, gamma):
     v = as_vector(psi, system.dim)
     norm = float(np.linalg.norm(v))
@@ -123,7 +138,7 @@ def oracle_E_psi_membership(system, psi, operator, gamma):
         raise PreconditionError("state vector is null")
     labeled = _labeled(system, operator)
     g = gamma if isinstance(gamma, frozenset) else _range_indices(system, gamma)
-    proj = system.range_projector(labeled, g)
+    proj = _range_projector(system, labeled, g)
     return float(np.linalg.norm(proj @ v - v)) <= system.tol.null_threshold * norm
 
 
@@ -135,17 +150,17 @@ def oracle_quantum_valuation(system, psi, operator, delta):
     name, labels = _labeled(system, operator)
     dset = _range_indices(system, delta)
     members = []
-    for i, f in enumerate(system.maps):
+    for i, f in enumerate(map_monoid_values(len(system.values))):
         new_labels = tuple(f[l] for l in labels)
         new_range = frozenset(f[d] for d in dset)
-        proj = system.range_projector((name, new_labels), new_range)
+        proj = _range_projector(system, (name, new_labels), new_range)
         if float(np.linalg.norm(proj @ v - v)) <= system.tol.null_threshold * norm:
             members.append(i)
     return system.monoid.ideal(members)
 
 
 def oracle_quantum_mset(system):
-    maps = system.maps
+    maps = map_monoid_values(len(system.values))
     nv = len(system.values)
     points = []
     for name in sorted(system.operators):
@@ -159,7 +174,7 @@ def oracle_quantum_mset(system):
         f = maps[m]
         return ((name, tuple(f[l] for l in labels)), frozenset(f[i] for i in gamma))
 
-    return MSet(system.monoid, points, act)
+    return MSet(system.monoid, points, table_of(system.monoid, points, act))
 
 
 def oracle_E_psi_subset(system, psi, mset):
@@ -188,13 +203,9 @@ def outcome(fn, *args):
     return getattr(result, "mask", result)
 
 
-def action_table(mset):
-    return [[mset.act_index(m, i) for i in range(len(mset))] for m in range(mset.monoid.size)]
-
-
 def assert_same_mset(new, old):
     assert new.points == old.points
-    assert action_table(new) == action_table(old)
+    assert new.table.tolist() == old.table.tolist()
 
 
 def deltas(values):
@@ -317,3 +328,83 @@ def test_quantum_errors_match_oracle():
             for psi, op, delta in cases}
     assert {PreconditionError, MissingNameError, UsageError} <= seen
     assert any(isinstance(x, int) for x in seen)
+
+
+# ---------------------------------------------------------------------------
+# Edges of the array construction
+
+
+def test_systems_without_subjects_match_oracle():
+    stateless = ClassicalSystem([], [0.0, 1.0], {})
+    new, old = classical.proposition_mset(stateless), oracle_classical_mset(stateless)
+    assert_same_mset(new, old)
+    assert len(new) == 4   # the empty quantity with each range
+    assert outcome(classical.E_s_subset, stateless, "s0", new) is MissingNameError
+    assert outcome(oracle_E_s_subset, stateless, "s0", old) is MissingNameError
+    bare = QuantumSystem(2, [0.0, 1.0])
+    new, old = quantum.proposition_mset(bare), oracle_quantum_mset(bare)
+    assert_same_mset(new, old)
+    assert len(new) == 0
+    e1 = np.array([1.0, 0.0])
+    assert quantum.E_psi_subset(bare, e1, new) == oracle_E_psi_subset(bare, e1, old) == frozenset()
+    for new_fn, old_fn in [(quantum.E_psi_membership, oracle_E_psi_membership),
+                           (quantum.quantum_function_valuation, oracle_quantum_valuation)]:
+        assert outcome(new_fn, bare, e1, "A", [0.0]) is MissingNameError
+        assert outcome(old_fn, bare, e1, "A", [0.0]) is MissingNameError
+
+
+def test_quantum_routes_match_oracle_next_to_the_null_threshold():
+    # Off an eigenvector of one cluster of A by null·(1 ± 1e-6) along another
+    # cluster, a state lies just inside or just outside the ranges holding the
+    # first cluster's label only; scaled to that norm, it is null or not.
+    system, _ = quantum_system(43, 3)
+    mset = quantum.proposition_mset(system)
+    null = system.tol.null_threshold
+    bases = system.operator("A").bases
+    assert len(bases) >= 2
+    near, far = bases[0][:, 0], bases[1][:, 0]
+    subsets = {}
+    for scale in (1 - 1e-6, 1 + 1e-6):
+        for kind, psi in (("off", near + null * scale * far), ("short", null * scale * near)):
+            subsets[kind, scale] = outcome(quantum.E_psi_subset, system, psi, mset)
+            assert subsets[kind, scale] == outcome(oracle_E_psi_subset, system, psi, mset)
+            for delta in deltas(system.values):
+                assert (outcome(quantum.quantum_function_valuation, system, psi, "A", delta)
+                        == outcome(oracle_quantum_valuation, system, psi, "A", delta))
+                assert (outcome(quantum.E_psi_valuation_via_arrow, system, psi, "A", delta, mset)
+                        == outcome(oracle_E_psi_valuation, system, psi, "A", delta, mset))
+    assert subsets["off", 1 - 1e-6] != subsets["off", 1 + 1e-6]
+    assert subsets["short", 1 - 1e-6] is PreconditionError
+    assert isinstance(subsets["short", 1 + 1e-6], frozenset)
+
+
+def test_the_quantum_arrow_route_evaluates_each_pattern_once(monkeypatch):
+    # two operators with three eigenvalue clusters each on four dimensions:
+    # 432 propositions, but only 2 · 2^3 sets of clusters inside a range
+    rng = np.random.default_rng(8)
+    values = [0.0, 1.0, 2.0]
+    operators = {}
+    for name, labels in (("A", (0, 1, 2, 2)), ("B", (0, 0, 1, 2))):
+        u, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+        operators[name] = u @ np.diag([values[i] for i in labels]) @ u.conj().T
+    system = QuantumSystem(4, values, operators)
+    mset = quantum.proposition_mset(system)
+    psi = random_state(rng, 4)
+    calls, holds = [], QuantumSystem.holds
+    monkeypatch.setattr(QuantumSystem, "holds", lambda self, state, name, pattern: (
+        calls.append((name, pattern)) or holds(self, state, name, pattern)))
+    arrow = quantum.E_psi_valuation_via_arrow(system, psi, "A", [0.0], mset)
+    assert len(mset) == 432
+    assert len(calls) == len(set(calls))
+    assert len(calls) <= sum(2 ** len(labels) for labels in system.labels.values()) == 16
+    monkeypatch.undo()
+    assert arrow.mask == oracle_E_psi_valuation(system, psi, "A", [0.0], mset).mask
+
+
+def test_the_budget_is_checked_before_any_proposition_table_is_built(monkeypatch):
+    # five values and five states: 3,125 quantities times 32 ranges
+    system = ClassicalSystem([f"s{i}" for i in range(5)], range(5), {})
+    monkeypatch.setattr(ClassicalSystem, "maps",
+                        property(lambda self: pytest.fail("the value array was read")))
+    with pytest.raises(CapacityError, match="^action-law validation would exceed its budget$"):
+        classical.proposition_mset(system)
