@@ -160,9 +160,12 @@ def proposition_mset(system: ValueSetSystem) -> MSet:
 
 def truth_set(system: ValueSetSystem, state, mset: MSet | None = None) -> frozenset:
     """The invariant subset of proposition pairs true at the state; a given
-    ``mset`` is the system's proposition M-set."""
+    ``mset`` must be the system's proposition M-set (its monoid, its size)."""
     m = mset if mset is not None else proposition_mset(system)
     resolved, nv = system.resolve_state(state), len(system.values)
+    if m.monoid is not system.monoid or len(m.points) != sum(
+            nv ** arity for arity, _ in system.blocks.values()) << nv:
+        raise UsageError("M-set is not this system's proposition M-set")
     bits = np.arange(1 << nv) >> np.arange(nv)[:, None] & 1   # [v, g]: v lies in g
     true = []
     for key, (arity, _) in system.blocks.items():

@@ -10,6 +10,7 @@ keeping default reports reproducible.
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import json
 import sys
@@ -353,6 +354,7 @@ def cmd_query(spec: SystemSpec, args) -> tuple[dict, Optional[dict]]:
 # Wiring
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--tol", type=float,

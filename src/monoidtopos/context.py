@@ -4,12 +4,13 @@ and sieve-valued contextual truth.
 Polars are computed relative to explicit finite universes: a StringUniverse
 (all strings up to a length bound whose reduction is non-null) and a RaySet
 of candidate rays.  All Galois identities hold exactly for the restricted
-relation "the string does not annihilate the ray".  The universe keeps
-its members' reductions, built level by level, as one stack.  Each polar
-evaluates the relation as one boolean matrix on rows of that stack
-(strings) and columns of ray representatives, and reduces it with ``all``
-along the rows or the columns.  Ray-set membership is likewise one matrix
-of normalised overlaps.
+relation "the string does not annihilate the ray".  The universe decides
+"non-null" once per canonical word (no letter next to itself), level by
+level, and keeps its members' reductions, gathered from those rows, as one
+stack.  Each polar evaluates the relation as one boolean matrix on rows of
+that stack (strings) and columns of ray representatives, and reduces it
+with ``all`` along the rows or the columns.  Ray-set membership is likewise
+one matrix of normalised overlaps.
 
 The contextual valuations are the two predicates of ``reduction``
 (``in_reduced_eigenspace`` and ``rays_agree``) on two more domains of
@@ -20,7 +21,9 @@ from the right.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -105,15 +108,16 @@ class StringUniverse:
     def __init__(self, alphabet: ProjectorAlphabet, max_len: int):
         self.alphabet = alphabet
         self.max_len = int(max_len)
-        members, stacks = [], []
-        for strings, stack in alphabet.levels(self.max_len):
-            alive = np.linalg.norm(stack, 2, axis=(1, 2)) > alphabet.tol.null_threshold
-            members += [q for q, a in zip(strings, alive) if a]
-            stacks.append(stack[alive])
-        del stack  # free the last level before its members are copied again
-        self.members = tuple(members)
-        self.reductions = np.concatenate(stacks)
-        self._rows = dict(zip(self.members, range(len(self.members))))
+        levels, stack = alphabet.levels(self.max_len)
+        rows = np.concatenate([canon for _, canon in levels])
+        alive = np.linalg.norm(stack, 2, axis=(1, 2))[rows] > alphabet.tol.null_threshold
+        self.members = tuple(itertools.compress(
+            itertools.chain.from_iterable(strings for strings, _ in levels), alive))
+        self.reductions = stack[rows[alive]]
+
+    @cached_property
+    def _rows(self) -> dict[Letters, int]:
+        return dict(zip(self.members, range(len(self.members))))
 
     @property
     def tol(self) -> TolerancePolicy:
@@ -319,13 +323,13 @@ class Sieve:
 def _tail_reductions(alphabet: ProjectorAlphabet, context: Sequence[str],
                      *states) -> tuple[Letters, np.ndarray, list[np.ndarray]]:
     """The context, the reductions of its tails by length (running products
-    from the right, so the last row reduces the whole context), and the
-    unit representatives of the states, which must be reducible at the
-    context."""
+    from the right, a repeated letter taken once as in ``reduce``, so the
+    last row reduces the whole context), and the unit representatives of
+    the states, which must be reducible at the context."""
     q = alphabet.monoid.check_string(context)
     stack = [np.eye(alphabet.dim, dtype=complex)]
-    for letter in reversed(q):
-        stack.append(alphabet.matrix(letter) @ stack[-1])
+    for i, letter in enumerate(reversed(q)):
+        stack.append(stack[-1] if i and q[-i] == letter else alphabet.matrix(letter) @ stack[-1])
     units = [unit_state(alphabet, s) for s in states]
     if any(np.linalg.norm(stack[-1] @ u) <= alphabet.tol.null_threshold for u in units):
         raise ContextError(f"{_subject(states)} must be reducible at the context")

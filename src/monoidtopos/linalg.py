@@ -130,7 +130,8 @@ def orthonormalize(columns: np.ndarray, null_threshold: float) -> np.ndarray:
 
 
 class Projector:
-    """An orthogonal projector: Hermitian and idempotent within tolerance."""
+    """An orthogonal projector: Hermitian and idempotent within tolerance, kept
+    as V V† for V the eigenvectors whose eigenvalue rounds to 1 (so P·P = P)."""
 
     __slots__ = ("matrix",)
 
@@ -140,7 +141,9 @@ class Projector:
             raise ValidationError("projector matrix is not Hermitian")
         if np.max(np.abs(a @ a - a)) > 1e3 * tol.eps * max(1.0, float(np.max(np.abs(a)))):
             raise ValidationError("projector matrix is not idempotent")
-        self.matrix = a
+        vals, vecs = np.linalg.eigh(a)
+        v = vecs[:, vals > 0.5]
+        self.matrix = v @ v.conj().T
 
     @property
     def dim(self) -> int:

@@ -334,14 +334,19 @@ def _composition_monoid(maps: list[tuple[int, ...]]) -> FiniteMonoid:
     """The sorted self-maps of {0..k-1} (the identity among them) under composition,
     each named 'f' followed by its value digits.  Digit x of the base-k code of f∘g is
     ``values[f, values[g, x]]``; the maps' own codes, the identity column, are sorted."""
-    k = len(maps[0])
+    k, n = len(maps[0]), len(maps)
     values = np.array(maps, dtype=np.min_scalar_type(k - 1))
     identity = maps.index(tuple(range(k)))
-    codes = np.zeros((len(maps),) * 2, dtype=np.min_scalar_type(k ** k - 1))  # object from k = 17
+    codes = np.zeros((n, n), dtype=np.min_scalar_type(k ** k - 1))  # object from k = 17
     for x in range(k):
-        codes = codes * k + values.take(values[:, x], axis=1)
+        codes *= k
+        codes += values.take(values[:, x], axis=1)
+    table, rows = np.empty((n, n), dtype=np.min_scalar_type(n - 1)), max(1, (1 << 20) // n)
+    for i in range(0, n, rows):   # row blocks keep searchsorted's int64 result small
+        table[i:i + rows] = codes[:, identity].searchsorted(codes[i:i + rows])
+    del codes
     names = ["f" + "".join(str(v) for v in f) for f in maps]
-    monoid = FiniteMonoid(codes[:, identity].searchsorted(codes), identity, names)
+    monoid = FiniteMonoid(table, identity, names)
     monoid._associative = True   # composition of maps is associative
     return monoid
 

@@ -3,21 +3,25 @@ density matrices, and the string valuations as depth-certified ideals.
 
 A string (P_n, ..., P_1) reduces to the operator product applied right to
 left, so the rightmost letter acts first and prepending a letter is the
-left-multiplication that the ideal property quantifies over.
+left-multiplication that the ideal property quantifies over.  Letters are
+exact projectors, so a string reduces as its canonical word (P·P = P).
 
 Every string valuation is one of two predicates evaluated on an (N, d, d)
 stack of reductions, giving one boolean per string:
 ``in_reduced_eigenspace`` (the reduced state lies in the reduced
 eigenspace of a proposition) and ``rays_agree`` (two reduced states can no
 longer be told apart).  The domains of strings only build the stack: here
-the free monoid one level at a time (no memo), in ``context`` the polar of
-a ray set and the tails of one context string.  States enter through their
-unit representative, so every valuation depends only on the ray.
+the canonical rows of the free monoid, built one level at a time, each
+string reading its row's answer through one gather, in ``context`` the
+polar of a ray set and the tails of one context string.  States enter
+through their unit representative, so every valuation depends only on the
+ray.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, Sequence
+import itertools
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -25,7 +29,7 @@ from .errors import MissingNameError, UsageError, ValidationError
 from .linalg import (DEFAULT_TOL, HermitianOperator, Projector, Ray, Subspace,
                      TolerancePolicy, ZERO_RAY, RayOrZero, as_matrix, as_vector,
                      is_hermitian, orthonormalize)
-from .strings import BoundedIdeal, ProjStringMonoid, bounded_ideal
+from .strings import BoundedIdeal, Letters, ProjStringMonoid, bounded_ideal
 
 DEFAULT_DEPTH = 4
 
@@ -56,21 +60,36 @@ class ProjectorAlphabet:
 
     def reduce(self, letters: Sequence[str]) -> np.ndarray:
         """Product of the letter matrices in application order (rightmost
-        first); the empty string reduces to the identity."""
+        first), a run of one letter taken once (P·P = P) as in ``levels``;
+        the empty string reduces to the identity."""
         result = np.eye(self.dim, dtype=complex)
-        for name in reversed(tuple(letters)):
+        for name in reversed([name for name, _ in itertools.groupby(letters)]):
             result = self.matrix(name) @ result
         return result
 
-    def levels(self, depth: int) -> Iterator[tuple]:
-        """The strings of each length k <= depth and their (L**k, d, d) stack
-        of reductions: row a * L**k + i of level k+1 is P_a @ row i of level k."""
-        letters = np.array(list(self.matrices.values()))[:, None]
-        stack = np.eye(self.dim, dtype=complex)[None]
+    def levels(self, depth: int) -> tuple[list[tuple[list[Letters], np.ndarray]], np.ndarray]:
+        """Per length k <= depth the strings and ``canon``, each string's row in
+        the returned stack of canonical words (no letter next to itself).  Row
+        0 is the identity; level k+1 adds P_a @ R(c) for each canonical c of
+        length k not starting with a.  ``left[a, c]`` is the row of a·c (c when
+        c starts with a), so (a,) + q has row left[a, canon(q)]."""
+        letters = np.array(list(self.matrices.values()))
+        width, fresh, first = len(letters), np.eye(self.dim, dtype=complex)[None], np.array([-1])
+        left, canon = np.empty((width, 0), dtype=np.intp), np.zeros(1, dtype=np.intp)
+        levels, stacks = [], [fresh]
         for k, strings in enumerate(self.monoid.levels(depth)):
             if k:
-                stack = (letters @ stack).reshape(-1, self.dim, self.dim)
-            yield strings, stack
+                start, n = left.shape[1], len(first)
+                new = first != np.arange(width)[:, None]
+                a, c = new.nonzero()
+                cols = np.tile(np.arange(start, start + n), (width, 1))
+                cols[new] = np.arange(start + n, start + n + len(a))
+                left = np.hstack([left, cols])
+                canon = left[:, canon].reshape(-1)
+                fresh, first = letters[a] @ fresh[c], a
+                stacks.append(fresh)
+            levels.append((strings, canon))
+        return levels, np.concatenate(stacks)
 
 
 class DensityMatrix:
@@ -162,10 +181,13 @@ def rays_agree(reductions: np.ndarray, psi: np.ndarray, phi: np.ndarray,
 
 def _ideal(alphabet: ProjectorAlphabet, keep: Callable[[np.ndarray], np.ndarray],
            depth: int) -> BoundedIdeal:
-    """The strings whose reductions ``keep`` accepts, certified level by level."""
+    """The strings whose reductions ``keep`` accepts, certified level by level;
+    ``keep`` sees each canonical row once, and each string reads its row's answer."""
+    levels, stack = alphabet.levels(depth)
+    kept = keep(stack)
     return bounded_ideal(
         alphabet.monoid, lambda strings: keep(np.array([alphabet.reduce(q) for q in strings])),
-        ((strings, keep(stack)) for strings, stack in alphabet.levels(depth)))
+        ((strings, kept[canon]) for strings, canon in levels))
 
 
 def _eigenspace_ideal(alphabet: ProjectorAlphabet, state: np.ndarray, op: HermitianOperator,

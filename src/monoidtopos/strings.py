@@ -3,9 +3,10 @@
 Strings are tuples of letter ids in display order: the leftmost letter is
 applied *last*, so ``concat(q, r)`` lists q's letters before r's and r acts
 first.  Strings are enumerated one length (level) at a time, ``(a,) + q``
-at index ``a * L**k + index(q)`` of level k+1.  Ideals of the free monoid
-are infinite: a membership predicate plus one boolean array per level up
-to a depth, certified by comparing each level with the next.  No memo.
+at index ``a * L**k + index(q)`` of level k+1 (``reduction`` evaluates
+only its canonical words, no letter next to itself, and gathers).  Ideals
+of the free monoid are infinite: a membership predicate plus one boolean
+array per level up to a depth, certified by comparing each level with the next.
 """
 
 from __future__ import annotations
@@ -63,11 +64,8 @@ class ProjStringMonoid:
             raise PreconditionError("max_len must be non-negative")
         if (count := self.count_strings(max_len)) > DEFAULT_STRING_BUDGET:
             raise CapacityError(f"{count} strings exceed budget {DEFAULT_STRING_BUDGET}")
-        level = [()]
-        yield level
-        for _ in range(max_len):
-            level = [(a,) + q for a in self.alphabet for q in level]
-            yield level
+        for k in range(max_len + 1):
+            yield list(itertools.product(self.alphabet, repeat=k))
 
     def enumerate_strings(self, max_len: int) -> Iterator[Letters]:
         """All strings of length <= max_len, shortest first, each exactly once."""

@@ -20,6 +20,18 @@ def composition_monoid(maps):
     return table, index[tuple(range(k))], names
 
 
+def composition_table_by_codes(maps):
+    """The composition table as one ``searchsorted`` of every base-k code
+    of f∘g into the sorted codes of the maps: the whole-array construction
+    (an int64 temporary of |M|² entries) that the row blocks replaced."""
+    k = len(maps[0])
+    values = np.array(maps, dtype=np.uint8)
+    codes = np.zeros((len(maps),) * 2, dtype=object if k > 16 else np.uint64)
+    for x in range(k):
+        codes = codes * k + values.take(values[:, x], axis=1)
+    return codes[:, maps.index(tuple(range(k)))].searchsorted(codes)
+
+
 def reach_masks(table):
     """For each element x, the bitmask of {m*x | m in M}."""
     return tuple(sum(1 << p for p in set(column)) for column in zip(*table))

@@ -56,6 +56,23 @@ def test_truth_set_invariant(two_valued):
         assert is_invariant(mset, E_s_subset(two_valued, state, mset))
 
 
+def test_truth_set_rejects_a_foreign_mset(two_valued):
+    # built for another system: same values and states, but its own monoid
+    other = ClassicalSystem(["s0", "s1"], [0.0, 1.0], {"A": [1.0, 0.0]})
+    foreign = proposition_mset(other)
+    with pytest.raises(UsageError, match="not this system's proposition M-set"):
+        E_s_subset(two_valued, "s0", foreign)
+    with pytest.raises(UsageError, match="not this system's proposition M-set"):
+        E_s_valuation(two_valued, "s0", "A", [0.0], foreign)
+    # the system's own monoid acting on a carrier of another size
+    wider = ClassicalSystem(["s0", "s1", "s2"], [0.0, 1.0], {"A": [0.0, 1.0, 1.0]})
+    wider.monoid = two_valued.monoid
+    with pytest.raises(UsageError, match="not this system's proposition M-set"):
+        E_s_subset(two_valued, "s0", proposition_mset(wider))
+    mset = proposition_mset(two_valued)
+    assert E_s_subset(two_valued, "s0", mset) == E_s_subset(two_valued, "s0")
+
+
 def test_membership_stable_under_maps(two_valued):
     # once true, coarse-graining by any map keeps a pair in the truth set
     mset = proposition_mset(two_valued)

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from monoidtopos.cli import main
+from monoidtopos.cli import build_parser, main
 
 REPO_ROOT = Path(__file__).parent.parent
 FIXTURE = "tests/fixtures/qubit.mtd"
@@ -230,7 +230,7 @@ def fixture_with(tmp_path, declaration: str) -> str:
     return str(path)
 
 
-@pytest.mark.parametrize("entries,reason", [
+QUERY_PARSE_ERRORS = [
     ("run valuate; system Q; state psi; op A; range {1}; colour red;",
      "unrecognized arguments: --colour red"),
     ("run valuate; system Q; state psi; op A;", "required: --range"),
@@ -238,7 +238,10 @@ def fixture_with(tmp_path, declaration: str) -> str:
      "invalid int value: 'deep'"),
     ("run nosuch;", "invalid choice: 'nosuch'"),
     ("run selftest;", "unrecognized arguments"),
-])
+]
+
+
+@pytest.mark.parametrize("entries,reason", QUERY_PARSE_ERRORS)
 def test_cli_query_entries_that_do_not_parse(tmp_path, capsys, entries, reason):
     path = fixture_with(tmp_path, f"query bad {{ {entries} }}")
     code, out = run_cli(["query", path, "bad"])
@@ -249,6 +252,24 @@ def test_cli_query_entries_that_do_not_parse(tmp_path, capsys, entries, reason):
     assert message.startswith("query 'bad' does not parse: ")
     assert reason in message
     assert capsys.readouterr().err == ""
+
+
+def test_cli_one_parser_per_process_keeps_every_report(tmp_path):
+    # main and query share one parser: every golden argv, run twice, each
+    # run after a query entry that the parser rejects, reports the same bytes
+    assert build_parser() is build_parser()
+    bad = []
+    for i, (entries, reason) in enumerate(QUERY_PARSE_ERRORS):
+        (tmp_path / str(i)).mkdir()
+        bad.append((fixture_with(tmp_path / str(i), f"query bad {{ {entries} }}"), reason))
+    for turn in range(2):
+        for i, name in enumerate(sorted(RUNS)):
+            path, reason = bad[(i + turn) % len(bad)]
+            code, out = run_cli(["query", path, "bad"])
+            assert code == 1 and reason in json.loads(out)["diagnostics"][0]["message"]
+            code, out = run_cli(RUNS[name])
+            assert code == 0
+            assert out == (GOLDEN_DIR / f"{name}.json").read_text(encoding="utf-8")
 
 
 def test_cli_bad_top_level_command_line_still_exits_through_argparse(capsys):

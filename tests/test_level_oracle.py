@@ -1,12 +1,13 @@
 """The level-by-level constructions against their per-string references.
 
-The free monoid is built one length at a time: level k+1 is every letter
-matrix times the stack of level k.  The references are the code this
-replaced, kept in ``tests/valuation_oracle.py``:
+The free monoid is built one length at a time, and each string reads the
+row of its canonical word (no letter next to itself) in one stack.  The
+references are the code this replaced, kept in ``tests/valuation_oracle.py``:
 
-- every row of every level's stack must be bit for bit the suffix-memoised
-  product of its string, on seeded qubit, qutrit and dimension-4 alphabets
-  to depth 6 and a dimension-16 alphabet to depth 4;
+- the row of every string of every level must be bit for bit the
+  suffix-memoised product of its canonical word, and within 1e-12 of the
+  product of the whole string, on seeded qubit, qutrit and dimension-4
+  alphabets to depth 6 and a dimension-16 alphabet to depth 4;
 - ``StringUniverse.members`` must be the strings that ``in_sp0`` keeps, in
   enumeration order, also for strings whose largest singular value is
   null_threshold * (1 +- 1e-6);
@@ -47,13 +48,14 @@ def seeded_alphabet(seed, dim, tol=DEFAULT_TOL):
 def test_level_stacks_equal_the_reference_reductions(dim, depth):
     alphabet = seeded_alphabet(5300 + dim, dim)
     names = alphabet.monoid.alphabet
-    levels = list(alphabet.levels(depth))
+    levels, stack = alphabet.levels(depth)
     assert len(levels) == depth + 1
-    for k, (strings, stack) in enumerate(levels):
+    for k, (strings, canon) in enumerate(levels):
         assert strings == list(itertools.product(names, repeat=k))
-        assert stack.shape == (len(names) ** k, dim, dim)
-        for q, row in zip(strings, stack):
-            assert np.array_equal(row, oracle.reduce(alphabet, q))
+        assert canon.shape == (len(names) ** k,)
+        for q, row in zip(strings, stack[canon]):
+            assert np.array_equal(row, oracle.reduce(alphabet, oracle.canonical_word(q)))
+            assert np.allclose(row, oracle.reduce(alphabet, q), rtol=0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -66,7 +68,8 @@ def check_universe(alphabet, depth):
     assert list(universe.members) == expected
     assert len(universe.reductions) == len(expected)
     for q, row in zip(universe.members, universe.reductions):
-        assert np.array_equal(row, oracle.reduce(alphabet, q))
+        assert np.array_equal(row, oracle.reduce(alphabet, oracle.canonical_word(q)))
+        assert np.allclose(row, oracle.reduce(alphabet, q), rtol=0, atol=1e-12)
     return universe
 
 

@@ -11,6 +11,7 @@ verdicts.
 """
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -58,6 +59,36 @@ def test_submonoid_closure_matches_the_composition_oracle(gens, k):
     table, identity, names = oracle.composition_monoid(sorted(_closure_by_fixpoint(gens, k)))
     assert (mon.table, mon.identity, mon.names) == (tuple(map(tuple, table)), identity, tuple(names))
     assert mon.mul.dtype == np.min_scalar_type(mon.size - 1)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_map_monoid_table_matches_the_whole_array_construction(k):
+    mon = map_monoid(k)
+    assert np.array_equal(mon.mul, oracle.composition_table_by_codes(map_monoid_values(k)))
+
+
+@pytest.mark.parametrize("seed", [11, 2027, 424242])
+def test_seeded_closures_match_the_composition_oracle(seed):
+    rng = np.random.default_rng(seed)
+    for _ in range(20):
+        k = int(rng.integers(2, 6))
+        gens = [tuple(rng.integers(0, k, size=k).tolist()) for _ in range(int(rng.integers(1, 4)))]
+        mon = submonoid_closure(gens, k)
+        maps = sorted(_closure_by_fixpoint(gens, k))
+        table, identity, names = oracle.composition_monoid(maps)
+        assert (mon.table, mon.identity, mon.names) == (tuple(map(tuple, table)), identity,
+                                                        tuple(names))
+
+
+def test_map_monoid_on_five_points_peaks_below_80_mib():
+    # the 18.6 MiB table is built in row blocks, without an int64 |M|² temporary
+    tracemalloc.start()
+    try:
+        map_monoid(5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 80 * 2 ** 20
 
 
 def test_ideal_action_matches_the_oracle():

@@ -11,7 +11,7 @@ from monoidtopos.reduction import (DensityMatrix, ProjectorAlphabet, act_on_ray,
                                    truth_ray_equal_strings, valuation_density,
                                    valuation_ray, valuation_vector)
 from tests.conftest import E1, E2, PLUS, PMINUS, PPLUS, PZ
-from tests.valuation_oracle import image_subspace
+from tests.valuation_oracle import canonical_word, image_subspace
 
 
 def test_alphabet_validates_letters():
@@ -58,12 +58,15 @@ def _reduce_recursively(alphabet, q, memo):
 
 
 def test_reduce_memo_matches_recursion(qubit_alphabet):
+    # reduce takes each run of a repeated letter once (P·P = P): the same
+    # bits as the recursion on the canonical word, and close to the whole string's
     rng = np.random.default_rng(13)
     memo = {(): np.eye(2, dtype=complex)}
     for _ in range(40):
         q = tuple(str(x) for x in rng.choice(["Pz", "Pplus"], size=int(rng.integers(0, 9))))
         got = qubit_alphabet.reduce(q)
-        assert np.array_equal(got, _reduce_recursively(qubit_alphabet, q, memo))
+        assert np.array_equal(got, _reduce_recursively(qubit_alphabet, canonical_word(q), memo))
+        assert np.allclose(got, _reduce_recursively(qubit_alphabet, q, memo), rtol=0, atol=1e-12)
 
 
 def test_reduce_long_string_does_not_recurse(qubit_alphabet):

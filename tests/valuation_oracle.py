@@ -80,6 +80,25 @@ def reduce(alphabet, letters):
     return result
 
 
+def canonical_word(letters):
+    """The string with each run of a repeated letter taken once; for
+    projector letters (P·P = P) it reduces to the same operator."""
+    q = tuple(letters)
+    return tuple(a for i, a in enumerate(q) if not i or q[i - 1] != a)
+
+
+def full_levels(alphabet, depth):
+    """The full-level path that the canonical rows replaced: each level's
+    strings and their (L**k, d, d) stack, level k+1 being every letter
+    matrix times the whole stack of level k."""
+    letters = np.array([alphabet.matrix(a) for a in alphabet.monoid.alphabet])[:, None]
+    stack = np.eye(alphabet.dim, dtype=complex)[None]
+    for k, strings in enumerate(alphabet.monoid.levels(depth)):
+        if k:
+            stack = (letters @ stack).reshape(-1, alphabet.dim, alphabet.dim)
+        yield strings, stack
+
+
 def bounded_ideal(monoid, predicate, depth):
     """Reference certificate: the members among all strings up to the depth
     (shortest first, then in ``itertools.product`` order), and each
