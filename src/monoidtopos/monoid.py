@@ -365,8 +365,8 @@ HEYTING_LAW_NAMES = (
 def heyting_report(m: FiniteMonoid) -> dict:
     """Exhaustively verify the Heyting-algebra laws on the ideal lattice.
 
-    Bit j of an ideal's code is set iff ``principal[j]`` lies inside it;
-    codes are ``uint64`` up to 64 principal ideals and Python ints beyond.
+    Bit j of an ideal's code is set iff ``principal[j]`` lies inside it; codes
+    are the narrowest unsigned ints up to 64 principal ideals, Python ints past.
     Meet and join are ``&`` and ``|``, and bit j of ``a => b`` is set iff
     ``down[j] & a & ~b == 0``, where ``down[j]`` codes ``principal[j]``.
 
@@ -376,7 +376,7 @@ def heyting_report(m: FiniteMonoid) -> dict:
     """
     ideals = enumerate_left_ideals(m)
     principal = sorted(set(m.reach_masks()))
-    dtype = np.uint64 if len(principal) <= 64 else object
+    dtype = np.min_scalar_type((1 << len(principal)) - 1) if len(principal) <= 64 else object
 
     def encode(masks):
         return np.array([sum(1 << j for j, p in enumerate(principal) if p & ~mask == 0)

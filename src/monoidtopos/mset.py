@@ -5,6 +5,8 @@ An M-set keeps its action as one array, ``table[m, i]`` being the index of
 m acting on point i.  Products combine tables by index arithmetic, each
 point-level truth value is the ideal of the rows whose table columns meet
 one condition, and the invariant subsets are the unions of the orbits M·x.
+As Hom(X, Ω) ≅ Sub(X), the equivariant maps X → Ω are the characteristic
+arrows χ_S(p) = {m | m·p ∈ S} of those subsets, each one gather of the table.
 
 Two membership truth values exist side by side and are never auto-selected:
 ``truth_in_invariant`` (membership of the translate in a fixed invariant
@@ -178,11 +180,16 @@ def truth_in_invariant(x: MSet, point: Point, subset: Iterable[Point]) -> LeftId
     return _ideal_where(x, inside[column])
 
 
+def _arrow_masks(x: MSet, inside: np.ndarray) -> list[int]:
+    """Per point p, the mask of χ_S(p) = {m | m·p ∈ S}, S given by ``inside``."""
+    return row_masks(inside[x.table].T)
+
+
 def characteristic_arrow(x: MSet, subset: Iterable[Point]) -> dict[Point, LeftIdeal]:
     """The classifying map of an invariant subset, point by point."""
     inside = _members(x, subset)
     _require_invariant(x, inside)
-    return {p: _ideal_where(x, inside[x.table[:, i]]) for i, p in enumerate(x.points)}
+    return {p: LeftIdeal(x.monoid, mask) for p, mask in zip(x.points, _arrow_masks(x, inside))}
 
 
 def truth_in_subset(x: MSet, point: Point, subset: Iterable[Point]) -> LeftIdeal:
@@ -288,62 +295,25 @@ def lambda_to_family(x: MSet, pairing: Mapping[tuple[Point, int], LeftIdeal]) ->
                             for m in range(mon.size)))
 
 
+def _invariant_masks(x: MSet) -> list[int]:
+    """The invariant subsets as carrier bitmasks: the unions of the orbits M·x."""
+    return union_closure(orbit_masks(x.table), "invariant-subset lattice")
+
+
 def invariant_subsets(x: MSet) -> list[frozenset[Point]]:
     """All invariant subsets, smallest first: the unions of the orbits M·x."""
-    out = [frozenset(x.points[i] for i in range(len(x)) if mask >> i & 1)
-           for mask in union_closure(orbit_masks(x.table), "invariant-subset lattice")]
-    out.sort(key=lambda s: (len(s), sorted(map(repr, s))))
-    return out
+    return sorted((frozenset(x.points[i] for i in range(len(x)) if mask >> i & 1)
+                   for mask in _invariant_masks(x)), key=lambda s: (len(s), sorted(map(repr, s))))
 
 
 def equivariant_maps_to_ideals(x: MSet) -> list[dict[Point, LeftIdeal]]:
-    """All equivariant maps from the carrier into the ideal lattice.
-
-    Backtracks point by point, propagating chi(m*x) = action(m, chi(x)),
-    so the search branches only on points not yet forced.
-    """
-    mon = x.monoid
-    ideals = enumerate_left_ideals(mon)
-    by_mask = {i.mask: i for i in ideals}
-    masks = list(by_mask)
-    bits = mask_rows(masks, mon.size)   # action_of[m][I] = {m' | m'm in I}: one gather per m
-    action_of = [dict(zip(masks, row_masks(bits[:, column]))) for column in mon.mul.T]
-    k = len(x.points)
-    table = x.table.tolist()
-    results: list[dict[Point, LeftIdeal]] = []
-    assignment: list[Optional[int]] = [None] * k
-
-    def propagate(i: int, mask: int, undo: list[int]) -> bool:
-        stack = [(i, mask)]
-        while stack:
-            j, mk = stack.pop()
-            if assignment[j] is not None:
-                if assignment[j] != mk:
-                    return False
-                continue
-            assignment[j] = mk
-            undo.append(j)
-            for m in range(mon.size):
-                stack.append((table[m][j], action_of[m][mk]))
-        return True
-
-    def search(start: int):
-        i = start
-        while i < k and assignment[i] is not None:
-            i += 1
-        if i == k:
-            results.append({x.points[j]: by_mask[assignment[j]] for j in range(k)})
-            return
-        for ideal in ideals:
-            undo: list[int] = []
-            if propagate(i, ideal.mask, undo):
-                search(i + 1)
-            for j in undo:
-                assignment[j] = None
-
-    search(0)
-    results.sort(key=lambda chi: tuple(chi[p].mask for p in x.points))
-    return results
+    """All equivariant maps X → Ω, ordered by their tuples of ideal masks:
+    as Hom(X, Ω) ≅ Sub(X), the arrows χ_S(p) = {m | m·p ∈ S} of the invariant
+    subsets S, raising CapacityError past IDEAL_COUNT_CAP of them."""
+    insides = mask_rows(_invariant_masks(x), len(x))
+    by_mask = {i.mask: i for i in enumerate_left_ideals(x.monoid)}
+    arrows = sorted(_arrow_masks(x, inside) for inside in insides)
+    return [dict(zip(x.points, map(by_mask.__getitem__, arrow))) for arrow in arrows]
 
 
 def arrow_to_invariant(x: MSet, arrow: Mapping[Point, LeftIdeal]) -> frozenset[Point]:

@@ -9,7 +9,9 @@ and point.  The product oracle is the callback product, and the
 proposition oracle is the callback construction of a value-set system's
 subject and range M-sets, with its own subject list and relabelling.  The
 action-law oracle is the exhaustive row scan that the generator check of
-associative monoids replaced.
+associative monoids replaced.  The equivariant-map oracle is the
+backtracking search that the characteristic arrows of the invariant subsets
+replaced (Hom(X, Omega) is isomorphic to Sub(X)).
 """
 
 import itertools
@@ -17,7 +19,7 @@ import itertools
 import numpy as np
 
 from monoidtopos.errors import CapacityError, ValidationError
-from monoidtopos.monoid import map_monoid_values
+from monoidtopos.monoid import enumerate_left_ideals, map_monoid_values, mask_rows, row_masks
 from monoidtopos.mset import MSet
 
 
@@ -180,3 +182,52 @@ def right_cayley_closure(monoid, gens):
                 found.add(b)
                 queue.append(b)
     return found
+
+
+def equivariant_maps_by_search(x):
+    """All equivariant maps from the carrier into the ideal lattice, found by
+    backtracking point by point and propagating chi(m*x) = action(m, chi(x)),
+    so the search branches only on points not yet forced; sorted by their
+    tuples of ideal masks."""
+    mon = x.monoid
+    ideals = enumerate_left_ideals(mon)
+    by_mask = {i.mask: i for i in ideals}
+    masks = list(by_mask)
+    bits = mask_rows(masks, mon.size)   # action_of[m][I] = {m' | m'm in I}: one gather per m
+    action_of = [dict(zip(masks, row_masks(bits[:, column]))) for column in mon.mul.T]
+    k = len(x.points)
+    table = x.table.tolist()
+    results = []
+    assignment = [None] * k
+
+    def propagate(i, mask, undo):
+        stack = [(i, mask)]
+        while stack:
+            j, mk = stack.pop()
+            if assignment[j] is not None:
+                if assignment[j] != mk:
+                    return False
+                continue
+            assignment[j] = mk
+            undo.append(j)
+            for m in range(mon.size):
+                stack.append((table[m][j], action_of[m][mk]))
+        return True
+
+    def search(start):
+        i = start
+        while i < k and assignment[i] is not None:
+            i += 1
+        if i == k:
+            results.append({x.points[j]: by_mask[assignment[j]] for j in range(k)})
+            return
+        for ideal in ideals:
+            undo = []
+            if propagate(i, ideal.mask, undo):
+                search(i + 1)
+            for j in undo:
+                assignment[j] = None
+
+    search(0)
+    results.sort(key=lambda chi: tuple(chi[p].mask for p in x.points))
+    return results

@@ -31,6 +31,7 @@ from monoidtopos.quantum import (E_psi_valuation_via_arrow, QuantumSystem,
 from monoidtopos.reduction import (DensityMatrix, ProjectorAlphabet,
                                    truth_ray_equal_strings, valuation_density,
                                    valuation_ray, valuation_vector)
+import tests.mset_oracle as mset_oracle
 from tests.conftest import E1, E2, PLUS, PMINUS, PPLUS, PZ, SZ
 from tests.test_cli import RUNS, run_cli
 
@@ -92,6 +93,10 @@ def _bijection_fixtures(corpus):
             yield product_mset(lr, lr)
 
 
+def _masks(mset, arrows):
+    return [tuple(chi[p].mask for p in mset.points) for chi in arrows]
+
+
 def test_acceptance_2_characteristic_bijection():
     started = time.perf_counter()
     corpus = small_monoids(3) + [map_monoid(2)]
@@ -105,7 +110,9 @@ def test_acceptance_2_characteristic_bijection():
         arrows = equivariant_maps_to_ideals(mset)
         if len(subsets) != len(arrows):
             ok = False
-        by_mask = {tuple(chi[p].mask for p in mset.points) for chi in arrows}
+        if _masks(mset, arrows) != _masks(mset, mset_oracle.equivariant_maps_by_search(mset)):
+            ok = False
+        by_mask = set(_masks(mset, arrows))
         for j in subsets:
             chi = characteristic_arrow(mset, j)
             if arrow_to_invariant(mset, chi) != j:

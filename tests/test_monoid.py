@@ -315,7 +315,8 @@ def test_random_monoids_build_tables_only_for_the_wanted_sizes(seed, monkeypatch
 
 def _min_chain(n: int) -> FiniteMonoid:
     """{0 < 1 < ... < n-1} under min, with the top as identity: n principal
-    ideals, so n = 64 and n = 65 sit on either side of the uint64 codes."""
+    ideals, so n = 8 and 9, 16 and 17, 32 and 33, 64 and 65 sit on either
+    side of the uint8, uint16, uint32 and uint64 codes."""
     return FiniteMonoid([[min(a, b) for b in range(n)] for a in range(n)], identity=n - 1)
 
 
@@ -327,8 +328,9 @@ LATTICE_GENERATORS = (((1, 1, 0, 0), (1, 3, 2, 3), (1, 2, 2, 2)),
 def test_heyting_report_matches_loop_oracle():
     lattices = [submonoid_closure(gens, 4) for gens in LATTICE_GENERATORS]
     assert [(m.size, len(enumerate_left_ideals(m))) for m in lattices] == [(23, 57), (28, 54)]
-    chains = [_min_chain(64), _min_chain(65)]
-    assert [len(set(m.reach_masks())) for m in chains] == [64, 65]
+    sizes = [8, 9, 16, 17, 32, 33, 64, 65]
+    chains = [_min_chain(n) for n in sizes]
+    assert [len(set(m.reach_masks())) for m in chains] == sizes
     for mon in _oracle_corpus() + lattices + chains:
         assert heyting_report(mon) == _heyting_report_by_loops(mon)
 

@@ -289,6 +289,9 @@ def test_bijection_small_fixtures(points2, m2, mm2):
         subsets = invariant_subsets(ms)
         arrows = equivariant_maps_to_ideals(ms)
         assert len(subsets) == len(arrows)
+        assert ([{p: chi[p].mask for p in ms.points} for chi in arrows]
+                == [{p: chi[p].mask for p in ms.points}
+                    for chi in oracle.equivariant_maps_by_search(ms)])
         recovered = {arrow_to_invariant(ms, chi) for chi in arrows}
         assert recovered == set(subsets)
         for j in subsets:
@@ -303,6 +306,15 @@ def test_invariant_subsets_past_the_lattice_cap_are_a_capacity_error():
     trivial = MSet(FiniteMonoid([[0]]), range(17), [range(17)])
     with pytest.raises(CapacityError, match="^invariant-subset lattice exceeds configured cap$"):
         invariant_subsets(trivial)
+
+
+def test_equivariant_maps_past_the_lattice_cap_are_a_capacity_error(monkeypatch):
+    # the same 2**17 subsets classify 2**17 maps; the cap is met before any
+    # arrow is taken, so no map is built
+    trivial = MSet(FiniteMonoid([[0]]), range(17), [range(17)])
+    monkeypatch.setattr(mset, "_arrow_masks", None)
+    with pytest.raises(CapacityError, match="^invariant-subset lattice exceeds configured cap$"):
+        equivariant_maps_to_ideals(trivial)
 
 
 def test_product_mset_componentwise(points2):

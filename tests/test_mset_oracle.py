@@ -18,10 +18,11 @@ import pytest
 
 import tests.mset_oracle as oracle
 from monoidtopos import classical, quantum
-from monoidtopos.corpus import small_monoids
+from monoidtopos.corpus import random_monoids, small_monoids
 from monoidtopos.dsl import parse_spec
 from monoidtopos.errors import MonoidToposError, ValidationError
-from monoidtopos.monoid import enumerate_left_ideals, map_monoid, submonoid_closure
+from monoidtopos.monoid import (enumerate_left_ideals, map_monoid, map_monoid_values,
+                                submonoid_closure)
 from monoidtopos.mset import (KFamily, MSet, characteristic_arrow, equivariant_maps_to_ideals,
                               family_from_subset, family_to_lambda, invariant_subsets,
                               is_invariant, left_regular, product_mset, truth_equal,
@@ -187,7 +188,7 @@ def test_empty_carrier_matches_the_oracle():
     empty = result.spec.msets["E"]
     assert empty.table.shape == (2, 0)
     assert invariant_subsets(empty) == oracle.invariant_subsets(empty) == [frozenset()]
-    assert equivariant_maps_to_ideals(empty) == [{}]
+    assert equivariant_maps_to_ideals(empty) == oracle.equivariant_maps_by_search(empty) == [{}]
     assert characteristic_arrow(empty, ()) == {}
     assert truth_subset_leq(empty, (), ()).is_full
     assert_truths_match(empty, [frozenset()], ())
@@ -204,3 +205,26 @@ def test_invariant_subsets_of_the_left_regular_mset_are_the_left_ideals(gens):
     ideals = enumerate_left_ideals(monoid)
     assert len(subsets) == len(ideals)
     assert set(subsets) == {i.members for i in ideals}
+
+
+def equivariant_map_msets():
+    """The left-regular M-set of each monoid of a seeded corpus, and its
+    square up to five elements, then the 2-point map_monoid(2) M-set."""
+    for monoid in CORPUS + [map_monoid(3)] + random_monoids(7, 10)[:9]:
+        lr = left_regular(monoid)
+        yield lr
+        if monoid.size <= 5:
+            yield product_mset(lr, lr)
+    yield MSet(map_monoid(2), [0, 1], map_monoid_values(2))
+
+
+def test_equivariant_maps_are_the_search_oracle_map_for_map():
+    count = maps = 0
+    for ms in equivariant_map_msets():
+        arrows = equivariant_maps_to_ideals(ms)
+        assert ([list(chi.items()) for chi in arrows]
+                == [list(chi.items()) for chi in oracle.equivariant_maps_by_search(ms)])
+        ideals = {i.mask: i for i in enumerate_left_ideals(ms.monoid)}
+        assert all(ideal is ideals[ideal.mask] for chi in arrows for ideal in chi.values())
+        count, maps = count + 1, maps + len(arrows)
+    assert (count, maps) == (42, 82_152)
