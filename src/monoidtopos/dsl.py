@@ -24,13 +24,27 @@ comma-separated entries; sets use braces; name strings use parentheses with
 the leftmost name applied last.  '#' starts a comment.  Parsing never
 raises: the result carries either a validated SystemSpec or diagnostics
 with line/column positions, also for a malformed number such as `1.2.3`.
+
+The lexer makes one regex match per token, blanks and comments included,
+and gives plain ``(kind, text, offset)`` tuples; a line and column are
+worked out from the offset, by bisection over the line starts, only for a
+diagnostic or a declaration's location.  A bracketed row or matrix of
+well-formed numeric entries is one BLOCK token, which ``row`` and
+``matrix`` convert in one step with the token path's arithmetic.  A block
+of the wrong depth or entry kind, and a block that any other rule meets,
+is split back into its tokens, and the token path reads it and names any
+error.  Validation runs one eigensolve per matrix declaration: the
+resolved projectors are the alphabet letters, and each ray set is built once.
 """
 
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple, Optional
+from functools import cached_property
+from itertools import accumulate
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -71,37 +85,82 @@ _PUNCT = {"LBRACE": "{", "RBRACE": "}", "LBRACKET": "[", "RBRACKET": "]",
           "LPAREN": "(", "RPAREN": ")", "COMMA": ",", "SEMI": ";",
           "PLUS": "+", "MINUS": "-"}
 
-# One named group per token kind, tried in order.  NUMBER takes any run of
-# ASCII digits and dots (the parser rejects '1.2.3'); NAME may start with a
-# word character that is not a letter, which the lexer then rejects.
-_TOKEN = re.compile("|".join(
-    [r"(?P<NUMBER>\.?[0-9][0-9.]*(?:[eE][+-]?[0-9]+)?)", r"(?P<NAME>[^\W\d]\w*)",
-     r"(?P<NEWLINE>\n)", r"(?P<SKIP>[ \t\r]+|#[^\n]*)"]
-    + [f"(?P<{kind}>{re.escape(ch)})" for kind, ch in _PUNCT.items()]
-    + [r"(?P<BAD>.)"]))
+# One match per token: the blanks and comments before it, then one named
+# group per kind, tried in order.  NUMBER takes any run of ASCII digits and
+# dots (the parser rejects '1.2.3'); NAME may start with a word character
+# that is not a letter, which the lexer then rejects.  BLOCK is a row or a
+# matrix of well-formed real or complex entries, blanks allowed: its
+# tokens, which _PLAIN gives back, are clean (no lexical error waits inside
+# a block) and its shape is the grammar's, so a row can be read by
+# splitting at commas.  The patterns are compiled on first use, through
+# re's cache, so that an import that never parses does not pay for them.
+_B = r"[ \t\r\n]*"
+_NUM = r"(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
+_ENTRY = rf"(?:[+-]{_B})?{_NUM}{_B}(?:i{_B}|[+-]{_B}{_NUM}{_B}i{_B})?"
+_ROW = rf"\[{_B}(?:{_ENTRY}(?:,{_B}(?=[+\-.0-9])|(?=\])))*\]"
+_KINDS = ([r"(?P<NUMBER>\.?[0-9][0-9.]*(?:[eE][+-]?[0-9]+)?)", r"(?P<NAME>[^\W\d]\w*)"]
+          + [f"(?P<{kind}>{re.escape(ch)})" for kind, ch in _PUNCT.items()]
+          + [r"(?P<BAD>.)"])
+_SKIP = r"(?:[ \t\r\n]|#[^\n]*)*"
+_TOKEN = _SKIP + "(?:" + "|".join(
+    [rf"(?P<BLOCK>\[{_B}(?:{_ROW}{_B}(?:,{_B}(?=\[)|(?=\])))*\]|{_ROW})"] + _KINDS
+    + [r"(?P<EOF>\Z)"]) + ")"
+_PLAIN = _SKIP + "(?:" + "|".join(_KINDS) + ")"
+_ENTRIES = rf"(?:([+-]){_B})?({_NUM}){_B}(?:(i)|([+-]){_B}({_NUM}){_B}i)?"
+_ROWS = r"\[([^][]*)\]"
 
 
-class Token(NamedTuple):
-    kind: str       # NAME | NUMBER | punctuation kind | EOF
-    text: str
-    line: int
-    col: int
+def _line_starts(text: str) -> list[int]:
+    return [0, *accumulate(len(line) + 1 for line in text.split("\n"))]
 
 
-def _lex(text: str) -> list[Token]:
+def _where(starts: list[int], offset: int) -> tuple[int, int]:
+    """Line and column, from 1, of a text offset."""
+    line = bisect_right(starts, offset)
+    return line, offset - starts[line - 1] + 1
+
+
+def _lex(text: str) -> list[tuple[str, str, int]]:
+    """``(kind, text, offset)`` tokens up to and including EOF."""
     tokens = []
-    line, line_start = 1, 0
-    for m in _TOKEN.finditer(text):
-        kind, lexeme = m.lastgroup, m.group()
-        col = m.start() - line_start + 1
-        if kind == "NEWLINE":
-            line, line_start = line + 1, m.end()
-        elif kind == "BAD" or (kind == "NAME" and not (lexeme[0].isalpha() or lexeme[0] == "_")):
-            raise _DslError(line, col, f"unexpected character {lexeme[0]!r}")
-        elif kind != "SKIP":
-            tokens.append(Token(kind, lexeme, line, col))
-    tokens.append(Token("EOF", "", line, len(text) - line_start + 1))
-    return tokens
+    for m in re.compile(_TOKEN).finditer(text):
+        kind = m.lastgroup
+        at = m.start(kind)
+        if kind == "BAD" or (kind == "NAME" and not (text[at].isalpha() or text[at] == "_")):
+            raise _DslError(*_where(_line_starts(text), at), f"unexpected character {text[at]!r}")
+        tokens.append((kind, m[kind], at))
+        if kind == "EOF":
+            return tokens
+
+
+def _split(text: str, block: tuple[str, str, int]) -> list[tuple[str, str, int]]:
+    """A BLOCK token as the tokens it is made of, at their offsets."""
+    _, lexeme, at = block
+    return [(m.lastgroup, m[m.lastgroup], m.start(m.lastgroup))
+            for m in re.compile(_PLAIN).finditer(text, at, at + len(lexeme))]
+
+
+# Bulk twins of ``number``, ``integer`` and ``complex_entry`` on the text of
+# one BLOCK row; ValueError leaves the block to the token path, which names
+# the error.  float() of a signed literal is the token path's sign * float()
+# bit for bit; it refuses an 'i', a blank after a sign and an empty row.
+def _numbers(row: str) -> tuple[float, ...]:
+    return tuple(map(float, row.split(",")))
+
+
+def _integers(row: str) -> tuple[int, ...]:
+    values = _numbers(row)
+    if not all(value.is_integer() for value in values):
+        raise ValueError
+    return tuple(map(int, values))
+
+
+def _complexes(row: str) -> tuple[complex, ...]:
+    if "i" not in row:
+        return tuple(complex(value, 0.0) for value in _numbers(row))
+    return tuple([complex(0.0, float(sign + digits)) if i else
+                  complex(float(sign + digits), float(sign2 + digits2) if sign2 else 0.0)
+                  for sign, digits, i, sign2, digits2 in re.findall(_ENTRIES, row)])
 
 
 # ---------------------------------------------------------------------------
@@ -196,35 +255,48 @@ class QueryDecl:
 class _Parser:
     """Recursive descent over the token list.  Three rules carry the shapes
     the grammar repeats: ``seq`` for comma lists in ``{}``, ``[]`` and ``()``,
-    ``header`` and ``close`` for ``keyword NAME { … }``, ``field`` for ``word value;``."""
+    ``header`` and ``close`` for ``keyword NAME { … }``, ``field`` for ``word value;``.
+    ``row`` and ``matrix`` take a BLOCK in one step; any other rule, or a
+    block they cannot take, sees it split back into its tokens."""
 
-    def __init__(self, tokens: list[Token]):
+    def __init__(self, tokens: list[tuple[str, str, int]], text: str):
         self.tokens = tokens
+        self.text = text
         self.pos = 0
 
-    def peek(self) -> Token:
-        return self.tokens[self.pos]
+    @cached_property
+    def starts(self) -> list[int]:
+        return _line_starts(self.text)
 
-    def advance(self) -> Token:
+    def error(self, tok: tuple[str, str, int], message: str) -> _DslError:
+        return _DslError(*_where(self.starts, tok[2]), message)
+
+    def peek(self) -> tuple[str, str, int]:
         tok = self.tokens[self.pos]
-        if tok.kind != "EOF":
+        if tok[0] == "BLOCK":
+            self.tokens[self.pos:self.pos + 1] = _split(self.text, tok)
+            tok = self.tokens[self.pos]
+        return tok
+
+    def advance(self) -> tuple[str, str, int]:
+        tok = self.peek()
+        if tok[0] != "EOF":
             self.pos += 1
         return tok
 
-    def expect(self, kind: str, what: str) -> Token:
+    def expect(self, kind: str, what: str) -> tuple[str, str, int]:
         tok = self.peek()
-        if tok.kind != kind:
-            raise _DslError(tok.line, tok.col,
-                            f"expected {what}, found {tok.text or 'end of input'!r}")
+        if tok[0] != kind:
+            raise self.error(tok, f"expected {what}, found {tok[1] or 'end of input'!r}")
         return self.advance()
 
     def name(self, what: str) -> str:
-        return self.expect("NAME", what).text
+        return self.expect("NAME", what)[1]
 
-    def keyword(self, word: str) -> Token:
+    def keyword(self, word: str) -> tuple[str, str, int]:
         tok = self.expect("NAME", word)
-        if tok.text != word:
-            raise _DslError(tok.line, tok.col, f"expected {word!r}, found {tok.text!r}")
+        if tok[1] != word:
+            raise self.error(tok, f"expected {word!r}, found {tok[1]!r}")
         return tok
 
     # -- the shared rules --------------------------------------------------
@@ -234,9 +306,9 @@ class _Parser:
         closer = "R" + opener[1:]
         self.expect(opener, repr(_PUNCT[opener]))
         items = []
-        if self.peek().kind != closer:
+        if self.peek()[0] != closer:
             items.append(item())
-            while self.peek().kind == "COMMA":
+            while self.peek()[0] == "COMMA":
                 self.advance()
                 items.append(item())
         self.expect(closer, repr(_PUNCT[closer]))
@@ -247,7 +319,7 @@ class _Parser:
         tok = self.keyword(keyword)
         name = self.name(what) if what else None
         self.expect("LBRACE", "'{'")
-        return Diagnostic(tok.line, tok.col, ""), name
+        return Diagnostic(*_where(self.starts, tok[2]), ""), name
 
     def close(self) -> None:
         self.expect("RBRACE", "'}'")
@@ -262,41 +334,41 @@ class _Parser:
     def entry(self, what: str, words, block: str) -> str:
         """The keyword, one of ``words``, that starts the next entry of a block."""
         tok = self.peek()
-        if tok.text not in words:
+        if tok[1] not in words:
             self.expect("NAME", what)
-            raise _DslError(tok.line, tok.col, f"unknown {block} {tok.text!r}")
-        return tok.text
+            raise self.error(tok, f"unknown {block} {tok[1]!r}")
+        return tok[1]
 
     # -- values ------------------------------------------------------------
 
     def unsigned(self) -> float:
         tok = self.expect("NUMBER", "a number")
         try:
-            return float(tok.text)
+            return float(tok[1])
         except ValueError:
-            raise _DslError(tok.line, tok.col, f"malformed number {tok.text!r}") from None
+            raise self.error(tok, f"malformed number {tok[1]!r}") from None
 
     def number(self) -> float:
         sign = 1.0
-        if self.peek().kind in ("PLUS", "MINUS"):
-            sign = -1.0 if self.advance().kind == "MINUS" else 1.0
+        if self.peek()[0] in ("PLUS", "MINUS"):
+            sign = -1.0 if self.advance()[0] == "MINUS" else 1.0
         return sign * self.unsigned()
 
     def integer(self, what: str) -> int:
         tok = self.peek()
         value = self.number()
         if not value.is_integer():
-            raise _DslError(tok.line, tok.col, f"{what} must be an integer")
+            raise self.error(tok, f"{what} must be an integer")
         return int(value)
 
     def complex_entry(self) -> complex:
         real = self.number()
-        if self.peek().kind == "NAME" and self.peek().text == "i":
+        if self.peek()[:2] == ("NAME", "i"):
             self.advance()
             return complex(0.0, real)
         mark = self.pos
-        if self.advance().kind in ("PLUS", "MINUS") and self.peek().kind == "NUMBER":
-            sign = -1.0 if self.tokens[mark].kind == "MINUS" else 1.0
+        if self.advance()[0] in ("PLUS", "MINUS") and self.peek()[0] == "NUMBER":
+            sign = -1.0 if self.tokens[mark][0] == "MINUS" else 1.0
             imag = self.unsigned()
             self.keyword("i")
             return complex(real, sign * imag)
@@ -309,33 +381,49 @@ class _Parser:
     def name_group(self) -> tuple[str, ...]:
         return self.seq("LPAREN", lambda: self.name("a name"))
 
-    def row(self, entry) -> tuple:
-        return self.seq("LBRACKET", entry)
+    def bulk(self, convert, depth: int) -> Optional[tuple]:
+        """A BLOCK of ``depth`` bracket levels (1 row, 2 matrix) with each row
+        converted, or None, for the token path, when the next token is no such
+        block or ``convert`` refuses a row."""
+        kind, lexeme, _ = self.tokens[self.pos]
+        if kind != "BLOCK" or ("[" in lexeme[1:]) != (depth == 2):
+            return None
+        try:
+            rows = tuple([convert(row) for row in re.findall(_ROWS, lexeme)])
+        except ValueError:
+            return None
+        self.pos += 1
+        return rows if depth == 2 else rows[0]
 
-    def matrix(self, entry) -> tuple[tuple, ...]:
-        return self.seq("LBRACKET", lambda: self.row(entry))
+    def row(self, entry, convert) -> tuple:
+        values = self.bulk(convert, 1)
+        return self.seq("LBRACKET", entry) if values is None else values
+
+    def matrix(self, entry, convert) -> tuple[tuple, ...]:
+        rows = self.bulk(convert, 2)
+        return self.seq("LBRACKET", lambda: self.row(entry, convert)) if rows is None else rows
 
     # -- declarations ------------------------------------------------------
 
     def parse_spec(self) -> list:
         decls = []
-        while self.peek().kind != "EOF":
+        while self.peek()[0] != "EOF":
             decls.append(self.declaration())
         return decls
 
     def declaration(self):
         """One declaration, parsed by the ``<keyword>_decl`` method."""
         tok = self.peek()
-        rule = getattr(self, f"{tok.text}_decl", None) if tok.kind == "NAME" else None
+        rule = getattr(self, f"{tok[1]}_decl", None) if tok[0] == "NAME" else None
         if rule is None:
-            raise _DslError(tok.line, tok.col, "expected a declaration keyword, "
-                            f"found {tok.text or 'end of input'!r}")
+            raise self.error(tok, "expected a declaration keyword, "
+                             f"found {tok[1] or 'end of input'!r}")
         return rule()
 
     def tolerance_decl(self):
         loc, _ = self.header("tolerance", None)
         given = {"eps": None, "null": None}
-        while self.peek().kind != "RBRACE":
+        while self.peek()[0] != "RBRACE":
             key = self.entry("'eps' or 'null'", given, "tolerance field")
             given[key] = self.field(key, self.number)
         self.close()
@@ -344,7 +432,8 @@ class _Parser:
     def monoid_decl(self):
         loc, name = self.header("monoid", "a monoid name")
         elements = self.field("elements", lambda: self.integer("element count"))
-        table = self.field("table", lambda: self.matrix(lambda: self.integer("table entry")))
+        table = self.field("table", lambda: self.matrix(
+            lambda: self.integer("table entry"), _integers))
         self.close()
         return MonoidDecl(name, elements, table, loc)
 
@@ -352,7 +441,8 @@ class _Parser:
         loc, name = self.header("mset", "an mset name")
         monoid = self.field("monoid", lambda: self.name("a monoid name"))
         points = self.field("points", lambda: self.integer("point count"))
-        action = self.field("action", lambda: self.matrix(lambda: self.integer("action entry")))
+        action = self.field("action", lambda: self.matrix(
+            lambda: self.integer("action entry"), _integers))
         self.close()
         return MSetDecl(name, monoid, points, action, loc)
 
@@ -361,9 +451,9 @@ class _Parser:
         values = self.field("values", self.number_set)
         states = self.field("states", self.name_group)
         quantities = []
-        while self.peek().kind != "RBRACE":
+        while self.peek()[0] != "RBRACE":
             quantities.append(self.field("quantity", lambda: QuantityDecl(
-                self.name("a quantity name"), self.row(self.number))))
+                self.name("a quantity name"), self.row(self.number, _numbers))))
         self.close()
         return ClassicalDecl(name, values, states, tuple(quantities), loc)
 
@@ -372,21 +462,21 @@ class _Parser:
         dim = self.field("dim", lambda: self.integer("dimension"))
         values = None
         members = []
-        while self.peek().kind != "RBRACE":
+        while self.peek()[0] != "RBRACE":
             key = self.entry("a member keyword", ("values", "operator", "projector", "state",
                                                   "density"), "quantum member")
             if key == "values":
                 values = self.field("values", self.number_set)
             elif key == "state":
                 members.append(self.field("state", lambda: StateMemberDecl(
-                    self.name("a name"), self.row(self.complex_entry))))
+                    self.name("a name"), self.row(self.complex_entry, _complexes))))
             elif key == "density":
                 members.append(self.field("density", lambda: MatrixMemberDecl(
-                    "density", self.name("a name"), self.matrix(self.complex_entry))))
+                    "density", self.name("a name"), self.matrix(self.complex_entry, _complexes))))
             else:
                 _, mname = self.header(key, "a name")
                 members.append(MatrixMemberDecl(key, mname, self.field(
-                    "matrix", lambda: self.matrix(self.complex_entry))))
+                    "matrix", lambda: self.matrix(self.complex_entry, _complexes))))
                 self.close()
         self.close()
         return QuantumDecl(name, dim, values, tuple(members), loc)
@@ -409,11 +499,11 @@ class _Parser:
     def query_decl(self):
         loc, name = self.header("query", "a query name")
         entries = []
-        while self.peek().kind != "RBRACE":
+        while self.peek()[0] != "RBRACE":
             key = self.name("a query key")
             parts = []
-            while self.peek().kind not in ("SEMI", "EOF"):
-                parts.append(self.advance().text)
+            while self.peek()[0] not in ("SEMI", "EOF"):
+                parts.append(self.advance()[1])
             self.expect("SEMI", "';'")
             entries.append((key, "".join(parts)))
         self.close()
@@ -421,7 +511,8 @@ class _Parser:
 
 
 def _parse_whole(text: str, rule):
-    parser = _Parser(_lex(text.strip()))
+    text = text.strip()
+    parser = _Parser(_lex(text), text)
     value = rule(parser)
     parser.expect("EOF", "end of input")
     return value
@@ -444,7 +535,7 @@ def parse_name_group(text: str) -> tuple[str, ...]:
 @dataclass
 class ResolvedQuantum:
     system: QuantumSystem
-    projectors: dict[str, np.ndarray]
+    projectors: dict[str, Projector]
     states: dict[str, np.ndarray]
     densities: dict[str, DensityMatrix]
 
@@ -464,7 +555,7 @@ class SystemSpec:
         self.msets: dict[str, MSet] = {}
         self.classical: dict[str, ClassicalSystem] = {}
         self.quantum: dict[str, ResolvedQuantum] = {}
-        self.raysets: dict[str, RaySetDecl] = {}
+        self.raysets: dict[str, tuple[str, RaySet]] = {}
         self.universes: dict[str, UniverseDecl] = {}
         self.queries: dict[str, dict[str, str]] = {}
         self._alphabets: dict[tuple, ProjectorAlphabet] = {}
@@ -488,10 +579,8 @@ class SystemSpec:
         return StringUniverse(alphabet, decl.depth)
 
     def rayset(self, name: str) -> tuple[str, RaySet]:
-        decl = self.lookup(self.raysets, name, "rayset")
-        rq = self.lookup(self.quantum, decl.system, "quantum system")
-        vectors = [rq.state(s) for s in decl.rays]
-        return decl.system, RaySet(vectors, self.tolerance)
+        """The owning system and the ray set built when the file was validated."""
+        return self.lookup(self.raysets, name, "rayset")
 
 
 @dataclass
@@ -511,8 +600,7 @@ def parse_spec(text: str, eps: Optional[float] = None,
     which takes precedence over the default; the whole file is resolved at
     the one tolerance that results."""
     try:
-        tokens = _lex(text)
-        decls = _Parser(tokens).parse_spec()
+        decls = _Parser(_lex(text), text).parse_spec()
     except _DslError as exc:
         return ParseResult(None, [exc.diagnostic])
     except RecursionError:
@@ -578,8 +666,9 @@ def _resolve(decls: list, diagnostics: list[Diagnostic], eps: Optional[float],
             elif isinstance(d, QuantumDecl):
                 spec.quantum[d.name] = _resolve_quantum(d, tolerance)
             elif isinstance(d, RaySetDecl):
-                spec.raysets[d.name] = d
-                spec.rayset(d.name)
+                rq = spec.lookup(spec.quantum, d.system, "quantum system")
+                rays = RaySet([rq.state(s) for s in d.rays], tolerance)
+                spec.raysets[d.name] = (d.system, rays)
             elif isinstance(d, UniverseDecl):
                 spec.alphabet_for(d.system, d.alphabet)
                 if d.depth < 0:
@@ -634,7 +723,7 @@ def _resolve_quantum(d: QuantumDecl, tol: TolerancePolicy) -> ResolvedQuantum:
                 raise MonoidToposError(f"state {m.name!r} is null")
             states[m.name] = v
         elif m.kind == "projector":
-            projectors[m.name] = Projector(as_matrix(m.matrix, d.dim), tol).matrix
+            projectors[m.name] = Projector(as_matrix(m.matrix, d.dim), tol)
         elif m.kind == "density":
             densities[m.name] = DensityMatrix(as_matrix(m.matrix, d.dim), tol)
     return ResolvedQuantum(system, projectors, states, densities)

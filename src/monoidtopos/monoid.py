@@ -40,7 +40,7 @@ class FiniteMonoid:
 
     def __init__(self, table: Sequence[Sequence[int]], identity: int = 0,
                  names: Optional[Sequence[str]] = None):
-        self.size = size = len(table)
+        size = len(table)
         if size == 0:
             raise StructureError("multiplication table is empty")
         if size > MONOID_SIZE_CAP:
@@ -55,7 +55,13 @@ class FiniteMonoid:
             raise StructureError("multiplication table is not square")
         if not 0 <= identity < size:
             raise StructureError(f"identity index {identity} out of range")
-        self.mul = mul = mul.astype(np.min_scalar_type(size - 1))
+        self._own(mul.astype(np.min_scalar_type(size - 1)), identity, names)
+
+    def _own(self, mul: np.ndarray, identity: int, names: Optional[Sequence[str]]):
+        """Take ``mul``, a square in-range table of the narrow dtype that no
+        caller holds, as the read-only table, and check the identity."""
+        self.size = size = len(mul)
+        self.mul = mul
         mul.flags.writeable = False
         ident = np.arange(size)
         if np.count_nonzero((mul[identity] != ident) | (mul[:, identity] != ident)):
@@ -346,7 +352,8 @@ def _composition_monoid(maps: list[tuple[int, ...]]) -> FiniteMonoid:
         table[i:i + rows] = codes[:, identity].searchsorted(codes[i:i + rows])
     del codes
     names = ["f" + "".join(str(v) for v in f) for f in maps]
-    monoid = FiniteMonoid(table, identity, names)
+    monoid = FiniteMonoid.__new__(FiniteMonoid)
+    monoid._own(table, identity, names)   # the table is fresh: adopt it, no copy
     monoid._associative = True   # composition of maps is associative
     return monoid
 

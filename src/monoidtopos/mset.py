@@ -237,9 +237,6 @@ class KFamily:
                 raise ValidationError(
                     f"family violates compatibility at m'={mp}, m={int(bad[0][0])}")
 
-    def at(self, m: int) -> frozenset[Point]:
-        return self.sets[m]
-
 
 def _held(family: KFamily) -> np.ndarray:
     """``held[m, i]`` says carrier point i lies in K_m."""

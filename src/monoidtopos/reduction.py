@@ -28,14 +28,15 @@ import numpy as np
 from .errors import MissingNameError, UsageError, ValidationError
 from .linalg import (DEFAULT_TOL, HermitianOperator, Projector, Ray, Subspace,
                      TolerancePolicy, ZERO_RAY, RayOrZero, as_matrix, as_vector,
-                     is_hermitian, orthonormalize)
+                     orthonormalize)
 from .strings import BoundedIdeal, Letters, ProjStringMonoid, bounded_ideal
 
 DEFAULT_DEPTH = 4
 
 
 class ProjectorAlphabet:
-    """Named orthogonal projectors usable as string letters."""
+    """Named orthogonal projectors usable as string letters; a letter given
+    as a ``Projector`` is taken as it is, any other matrix is validated."""
 
     def __init__(self, matrices: dict[str, object] | Sequence[tuple[str, object]],
                  tol: TolerancePolicy = DEFAULT_TOL):
@@ -46,7 +47,7 @@ class ProjectorAlphabet:
         self.monoid = ProjStringMonoid(tuple(name for name, _ in items))
         self.matrices: dict[str, np.ndarray] = {}
         for name, matrix in items:
-            a = Projector(matrix, tol).matrix
+            a = (matrix if isinstance(matrix, Projector) else Projector(matrix, tol)).matrix
             if self.matrices and a.shape[0] != self.dim:
                 raise ValidationError("letters must share one dimension")
             self.dim = a.shape[0]
@@ -101,9 +102,10 @@ class DensityMatrix:
         from .linalg import hermitian_eig
 
         a = as_matrix(matrix)
-        if not is_hermitian(a, tol.eps):
-            raise ValidationError("density matrix is not Hermitian")
-        op = hermitian_eig(a, tol)
+        try:
+            op = hermitian_eig(a, tol)   # its one failure without snap_to: not Hermitian
+        except ValidationError:
+            raise ValidationError("density matrix is not Hermitian") from None
         scale = max(1.0, float(np.max(np.abs(a))))
         if min(op.eigenvalues) < -1e3 * tol.eps * scale:
             raise ValidationError("density matrix is not positive semidefinite")

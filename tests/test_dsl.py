@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -155,7 +157,8 @@ def test_complex_literal_round_trip(re, im):
     from monoidtopos.dsl import _fmt_complex
 
     z = complex(re, im)
-    parser = _Parser(_lex(_fmt_complex(z)))
+    text = _fmt_complex(z)
+    parser = _Parser(_lex(text), text)
     back = parser.complex_entry()
     assert back == z
 
@@ -233,3 +236,25 @@ def test_value_sets_and_name_groups_outside_a_file():
                         ("(a,)", parse_name_group), ("(a) (b)", parse_name_group)):
         with pytest.raises(MonoidToposError):
             parse(text)
+
+
+def test_each_matrix_declaration_is_validated_with_one_eigensolve(monkeypatch):
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counted(a, *args, **kwargs):
+        calls.append(a.shape)
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    text = (Path(__file__).parent / "fixtures" / "qubit.mtd").read_text(encoding="utf-8")
+    result = parse_spec(text)
+    assert result.ok
+    # operator A, projectors Pz, Pminus and Pplus, density rho
+    assert len(calls) == 5
+    spec = result.spec
+    assert spec.rayset("Xi")[1] is spec.rayset("Xi")[1]
+    alphabet = spec.alphabet_for("Q", ("Pz", "Pplus"))
+    assert len(calls) == 5
+    for name in ("Pz", "Pplus"):
+        assert np.array_equal(alphabet.matrix(name), spec.quantum["Q"].projectors[name].matrix)

@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 from monoidtopos.dsl import (ClassicalDecl, MatrixMemberDecl, MonoidDecl, MSetDecl,
                              QuantityDecl, QuantumDecl, QueryDecl, RaySetDecl,
                              StateMemberDecl, ToleranceDecl, UniverseDecl, Diagnostic,
-                             _DslError, _lex, _Parser)
+                             _DslError, _lex, _line_starts, _Parser, _split, _where)
 
 FIXTURE = Path(__file__).parent / "fixtures" / "qubit.mtd"
 
@@ -382,10 +382,19 @@ class OracleParser:
 # The lexer
 
 
+def token_path(text: str) -> list[tuple[str, str, int]]:
+    """The new lexer's tokens with every BLOCK split back into its tokens."""
+    return [t for tok in _lex(text) for t in (_split(text, tok) if tok[0] == "BLOCK" else [tok])]
+
+
 def lex_outcome(lex, text: str):
-    """The (kind, text, line, col) stream, or the diagnostic as (line, col, message)."""
+    """The (kind, text, line, col) stream, or the diagnostic as (line, col, message).
+    The new lexer's blocks are split back and its offsets turned into positions."""
     try:
-        return [(t.kind, t.text, t.line, t.col) for t in lex(text)]
+        if lex is oracle_lex:
+            return [(t.kind, t.text, t.line, t.col) for t in lex(text)]
+        starts = _line_starts(text)
+        return [(kind, lexeme, *_where(starts, at)) for kind, lexeme, at in token_path(text)]
     except _DslError as exc:
         return (exc.diagnostic.line, exc.diagnostic.col, exc.diagnostic.message)
 
@@ -424,7 +433,7 @@ def test_lexer_matches_the_oracle(text):
 ])
 def test_end_of_input_after_a_trailing_comment(text, old_col, new_col):
     assert oracle_lex(text)[-1].col == old_col
-    assert _lex(text)[-1].col == new_col
+    assert _where(_line_starts(text), _lex(text)[-1][2])[1] == new_col
 
 
 # ---------------------------------------------------------------------------
@@ -434,7 +443,9 @@ def test_end_of_input_after_a_trailing_comment(text, old_col, new_col):
 def parse_outcome(lex, parser, text: str):
     """The declarations with their locations, or the diagnostic as (line, col, message)."""
     try:
-        return [(d, d.loc) for d in parser(lex(text)).parse_spec()]
+        tokens = lex(text)
+        run = parser(tokens) if parser is OracleParser else parser(tokens, text)
+        return [(d, d.loc) for d in run.parse_spec()]
     except _DslError as exc:
         return (exc.diagnostic.line, exc.diagnostic.col, exc.diagnostic.message)
 
@@ -493,3 +504,111 @@ def test_an_inserted_character_parses_like_the_oracle():
     for _ in range(600):
         at = rng.randrange(len(SOURCE) + 1)
         assert_parses_like_the_oracle(SOURCE[:at] + rng.choice(DSL_CHARS) + SOURCE[at:])
+
+
+# ---------------------------------------------------------------------------
+# Numeric blocks: a bracketed row or matrix the lexer hands over as one BLOCK
+# token, converted in one step, must read exactly as the token path reads it.
+
+# Well-formed entries, weighted up so that many blocks are read in bulk,
+# and entries that the token path rejects.
+ATOMS = 4 * ["0", "1", "-2", "+3", "- 4", ".5", "5.", "-0", "+0", "-0.0", "1e3", "2E-2", "1e+2",
+             "1e400", "-1e400", "2i", "-2i", "1-0i", "-0-0i", "1+2i", "0.5 - 0.25 i",
+             "1e-3+4E2i"] + ["1.2.3", "2.5e", "1+2ij", "2i3", "i", "e5", "1 2", ""]
+BLANKS = 6 * [""] + [" ", "\t", "\n", " # note\n"]
+
+entries = st.builds(lambda before, atom, after: before + atom + after,
+                    st.sampled_from(BLANKS), st.sampled_from(ATOMS), st.sampled_from(BLANKS))
+
+
+def bracketed(items, trailing_comma):
+    return "[" + ",".join(items) + ("," if trailing_comma else "") + "]"
+
+
+trailing = st.sampled_from([False, False, False, True])
+rows = st.builds(bracketed, st.lists(entries, max_size=4), trailing)
+matrices = st.builds(bracketed, st.lists(rows, max_size=3), trailing)
+blocks = st.one_of(rows, matrices, st.builds(bracketed, st.lists(matrices, max_size=2), trailing))
+
+# One place for a block in each rule that reads a row or a matrix, and in a query.
+BLOCK_SITES = [
+    "monoid M {{ elements 2; table {}; }}",
+    "mset X {{ monoid M; points 2; action {}; }}",
+    "classical C {{ values {{0,1}}; states (s); quantity A {}; }}",
+    "quantum Q {{ dim 2; state s {}; }}",
+    "quantum Q {{ dim 2; density r {}; }}",
+    "quantum Q {{ dim 2; projector P {{ matrix {}; }} }}",
+    "query q {{ range {}; }}",
+]
+
+
+def assert_bulk_reads_like_the_token_path(text: str):
+    """Same declarations, locations and diagnostics, to the repr: -0.0 and
+    the order of entries count."""
+    bulk = parse_outcome(_lex, _Parser, text)
+    assert repr(bulk) == repr(parse_outcome(token_path, _Parser, text))
+
+
+@settings(max_examples=300, deadline=None)
+@given(blocks, st.sampled_from(BLOCK_SITES))
+def test_a_numeric_block_parses_like_the_oracle(block, site):
+    text = site.format(block)
+    assert_parses_like_the_oracle(text)
+    assert_bulk_reads_like_the_token_path(text)
+
+
+def assert_read_in_bulk(text: str):
+    """Every BLOCK of the text is taken in one step, none split back."""
+    tokens = _lex(text)
+    parser = _Parser(list(tokens), text)
+    parser.parse_spec()
+    assert [t for t in parser.tokens if t[0] == "BLOCK"] == [t for t in tokens if t[0] == "BLOCK"]
+
+
+@pytest.mark.parametrize("text", [
+    "classical C { values {0,1}; states (s); quantity A [-0, +0, -0.0, 0, - 0]; }",
+    "quantum Q { dim 2; state s [-0, -0-0i]; density r [[-0, 0], [-0.0, +0]]; }",
+    "quantum Q { dim 2; state s [-0i, 0-0i, -0+0i]; }",
+])
+def test_signed_zeros_read_alike_in_bulk_and_token_by_token(text):
+    assert_read_in_bulk(text.replace(", - 0", ""))
+    assert_parses_like_the_oracle(text)
+    assert_bulk_reads_like_the_token_path(text)
+
+
+def scaled_shape(rng: random.Random) -> str:
+    """A file of the benchmark's scaled shape: a 14x14 table, dense 4x4
+    complex matrices with 12-decimal entries, 12 states; now and then a
+    signed zero."""
+    def real():
+        if rng.random() < 0.05:
+            return rng.choice(["-0", "-0.0", "0"])
+        return f"{rng.uniform(-3, 3):.12f}"
+
+    def entry():
+        im = f"{rng.uniform(-3, 3):.12f}"
+        return rng.choice([real(), f"{real()}+{im.lstrip('-')}i", f"{real()}-{im.lstrip('-')}i",
+                           f"{im}i"])
+
+    def matrix(n, cell):
+        return bracketed(["[" + ",".join(cell() for _ in range(n)) + "]" for _ in range(n)], False)
+
+    table = matrix(14, lambda: str(rng.randrange(14)))
+    lines = ["tolerance { eps 1e-9; null 1e-9; }",
+             f"monoid Mid {{ elements 14; table {table}; }}",
+             f"mset LR {{ monoid Mid; points 14; action {table}; }}",
+             "quantum S {", "  dim 4;", f"  operator A {{ matrix {matrix(4, entry)}; }}"]
+    lines += [f"  projector P{i} {{ matrix {matrix(4, entry)}; }}" for i in range(3)]
+    lines += [f"  state r{i} [{','.join(entry() for _ in range(4))}];" for i in range(12)]
+    lines += [f"  density rho {matrix(4, entry)};", "}"]
+    return "\n".join(lines) + "\n"
+
+
+def test_the_scaled_shape_reads_alike_in_bulk_and_token_by_token():
+    rng = random.Random(424242)
+    for _ in range(5):
+        text = scaled_shape(rng)
+        assert len([t for t in _lex(text) if t[0] == "BLOCK"]) == 2 + 5 + 12
+        assert_read_in_bulk(text)
+        assert isinstance(parse_outcome(_lex, _Parser, text), list)
+        assert_bulk_reads_like_the_token_path(text)

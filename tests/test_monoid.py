@@ -26,6 +26,21 @@ def test_constructor_rejects_malformed_tables():
         FiniteMonoid([[1, 0], [0, 1]], identity=0)
 
 
+def test_a_callers_table_is_copied_even_in_the_narrow_dtype():
+    t = np.array([[0, 1], [1, 1]], dtype=np.uint8)
+    m = FiniteMonoid(t)
+    t[0, 1] = 0
+    assert m.mul.tolist() == [[0, 1], [1, 1]]
+    assert not m.mul.flags.writeable
+
+
+def test_a_composition_monoid_adopts_its_table_as_the_constructor_would_build_it():
+    m = map_monoid(3)
+    rebuilt = FiniteMonoid(m.mul.tolist(), m.identity, m.names)
+    assert m.mul.dtype == rebuilt.mul.dtype and np.array_equal(m.mul, rebuilt.mul)
+    assert not m.mul.flags.writeable and m.mul.base is None
+
+
 def test_associativity_idempotent_pair(m2):
     assert verify_associativity(m2)
 
