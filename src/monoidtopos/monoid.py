@@ -4,9 +4,10 @@ Elements of a monoid are the indices ``0..size-1``; the multiplication
 table is one dense array, and composition, principal ideals and the
 action on ideals are gathers from it.  Left ideals are bitmasks over
 element indices.  Every left ideal is the union of the principal ideals
-``Mx`` inside it, so :func:`heyting_report` codes each ideal by one bit
-per distinct principal ideal and checks every law, on every pair and
-triple of ideals, as numpy identities on those codes.
+``Mx`` inside it, so the ideals are the down-sets of the distinct principal
+ideals under inclusion (Birkhoff duality), listed by :func:`down_sets` as
+codes with one bit per principal ideal, from which :func:`heyting_report`
+reads every law.
 """
 
 from __future__ import annotations
@@ -35,8 +36,8 @@ class FiniteMonoid:
     set it, and :meth:`generators` needs it.
     """
 
-    __slots__ = ("size", "mul", "identity", "names", "_rows", "_reach", "_ideals", "_gens",
-                 "_associative")
+    __slots__ = ("size", "mul", "identity", "names", "_rows", "_reach", "_ideals", "_lattice",
+                 "_gens", "_associative")
 
     def __init__(self, table: Sequence[Sequence[int]], identity: int = 0,
                  names: Optional[Sequence[str]] = None):
@@ -75,6 +76,7 @@ class FiniteMonoid:
         self._rows: Optional[tuple[tuple[int, ...], ...]] = None
         self._reach: Optional[tuple[int, ...]] = None
         self._ideals: Optional[tuple["LeftIdeal", ...]] = None
+        self._lattice: Optional[tuple[np.ndarray, ...]] = None
         self._gens: Optional[tuple[int, ...]] = None
         self._associative = False
 
@@ -261,29 +263,54 @@ def heyting_not(ideal: LeftIdeal) -> LeftIdeal:
 def enumerate_left_ideals(m: FiniteMonoid) -> list[LeftIdeal]:
     """All left ideals, sorted by (size, mask); always contains 0 and M."""
     if m._ideals is None:
-        # every left ideal is a union of principal ideals
-        masks = union_closure(m.reach_masks(), "ideal lattice")
-        masks.sort(key=lambda k: (k.bit_count(), k))
+        codes, cls, _, _ = ideal_lattice(m)
+        masks = sorted(row_masks(codes[:, cls]), key=lambda k: (k.bit_count(), k))
         m._ideals = tuple(LeftIdeal(m, mask) for mask in masks)
     return list(m._ideals)
 
 
-def union_closure(masks: Iterable[int], what: str) -> list[int]:
-    """Every union of the given bitmasks, the empty union 0 included, in no
-    particular order.  Past IDEAL_COUNT_CAP unions it raises CapacityError,
-    naming ``what`` is being closed."""
-    generators = sorted(set(masks))
-    found = {0}
-    frontier = list(generators)
-    while frontier:
-        mask = frontier.pop()
-        if mask in found:
-            continue
-        found.add(mask)
-        if len(found) > IDEAL_COUNT_CAP:
+def ideal_lattice(m: FiniteMonoid) -> tuple[np.ndarray, ...]:
+    """:func:`down_sets` of the principal ideals Mx, kept on the monoid; each Mx
+    is checked to be a left ideal, which it is when the table is associative."""
+    if m._lattice is None:
+        for mask in set(m.reach_masks()):
+            LeftIdeal(m, mask)
+        m._lattice = down_sets(m.reach_masks(), "ideal lattice")
+    return m._lattice
+
+
+def down_sets(orbits: Sequence[int], what: str) -> tuple[np.ndarray, ...]:
+    """The unions of an action's orbits, ``orbits[x]`` being the mask of M·x, as
+    the down-sets of the distinct orbits under inclusion, ordered by (size, mask):
+    ``(codes, cls, reps, under)``, where ``codes[i, j]`` says orbit j lies in union
+    i (the empty union first), x has orbit ``cls[x]`` (so ``codes[:, cls]`` are the
+    unions' members), ``reps[j]`` lies in orbit j and ``under[j, i]`` says orbit i
+    lies strictly inside orbit j.  Past IDEAL_COUNT_CAP unions it raises CapacityError."""
+    ordered = sorted(set(orbits), key=lambda k: (k.bit_count(), k))
+    index = {k: j for j, k in enumerate(ordered)}
+    cls = np.array([index[k] for k in orbits], dtype=np.intp)
+    reps = np.empty(len(ordered), dtype=np.intp)
+    reps[cls] = np.arange(len(cls))
+    # x lies in an orbit iff its orbit is inside it
+    under = mask_rows(ordered, len(cls))[:, reps] & ~np.eye(len(ordered), dtype=bool)
+    codes = np.zeros((1, len(ordered)), dtype=bool)
+    for j, below in enumerate(under):   # keep every row, and add those holding below with bit j
+        grow = (codes >= below).all(axis=1)
+        if len(codes) + np.count_nonzero(grow) > IDEAL_COUNT_CAP:
             raise CapacityError(f"{what} exceeds configured cap")
-        frontier.extend(mask | g for g in generators if mask | g not in found)
-    return list(found)
+        codes = np.concatenate((codes, codes[grow]))
+        codes[len(grow):, j] = True
+    return codes, cls, reps, under
+
+
+def row_index(rows: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    """For each boolean query row, the index of an equal row of ``rows``, or -1
+    (rows are compared as packed bytes; np.isin would import numpy.ma)."""
+    packed = [np.ascontiguousarray(np.packbits(bits, axis=-1)) for bits in (rows, queries)]
+    known, asked = (p.view(np.dtype((np.void, p.shape[-1])))[..., 0] for p in packed)
+    order = np.argsort(known)
+    at = order[np.minimum(np.searchsorted(known[order], asked), len(known) - 1)]
+    return np.where(known[at] == asked, at, -1)
 
 
 def map_monoid(k: int) -> FiniteMonoid:
@@ -339,18 +366,19 @@ def closure_maps(generator_maps: Iterable[tuple[int, ...]], k: int,
 def _composition_monoid(maps: list[tuple[int, ...]]) -> FiniteMonoid:
     """The sorted self-maps of {0..k-1} (the identity among them) under composition,
     each named 'f' followed by its value digits.  Digit x of the base-k code of f∘g is
-    ``values[f, values[g, x]]``; the maps' own codes, the identity column, are sorted."""
+    ``values[f, values[g, x]]``, and f∘g is found among the maps' own sorted codes."""
     k, n = len(maps[0]), len(maps)
     values = np.array(maps, dtype=np.min_scalar_type(k - 1))
     identity = maps.index(tuple(range(k)))
-    codes = np.zeros((n, n), dtype=np.min_scalar_type(k ** k - 1))  # object from k = 17
+    own = np.zeros(n, dtype=np.min_scalar_type(k ** k - 1))  # object from k = 17
     for x in range(k):
-        codes *= k
-        codes += values.take(values[:, x], axis=1)
+        own = own * k + values[:, x]
     table, rows = np.empty((n, n), dtype=np.min_scalar_type(n - 1)), max(1, (1 << 20) // n)
-    for i in range(0, n, rows):   # row blocks keep searchsorted's int64 result small
-        table[i:i + rows] = codes[:, identity].searchsorted(codes[i:i + rows])
-    del codes
+    for i in range(0, n, rows):   # row blocks keep the codes and searchsorted's int64 result small
+        codes = np.zeros((len(values[i:i + rows]), n), dtype=own.dtype)
+        for x in range(k):
+            codes = codes * k + values[i:i + rows].take(values[:, x], axis=1)
+        table[i:i + rows] = own.searchsorted(codes)
     names = ["f" + "".join(str(v) for v in f) for f in maps]
     monoid = FiniteMonoid.__new__(FiniteMonoid)
     monoid._own(table, identity, names)   # the table is fresh: adopt it, no copy
@@ -370,72 +398,37 @@ HEYTING_LAW_NAMES = (
 
 
 def heyting_report(m: FiniteMonoid) -> dict:
-    """Exhaustively verify the Heyting-algebra laws on the ideal lattice.
-
-    Bit j of an ideal's code is set iff ``principal[j]`` lies inside it; codes
-    are the narrowest unsigned ints up to 64 principal ideals, Python ints past.
-    Meet and join are ``&`` and ``|``, and bit j of ``a => b`` is set iff
-    ``down[j] & a & ~b == 0``, where ``down[j]`` codes ``principal[j]``.
-
-    Returns a dict with the ideal count, a pass/fail flag per law, and the
-    list of ideals witnessing failure of excluded middle (join with their
-    negation below the full ideal).
-    """
+    """Verify the Heyting-algebra laws on the enumerated ideals, coded by the
+    principal ideals inside them.  Returns a dict with the ideal count, a
+    pass/fail flag per law, and the list of ideals witnessing failure of
+    excluded middle (join with their negation below the full ideal)."""
     ideals = enumerate_left_ideals(m)
-    principal = sorted(set(m.reach_masks()))
-    dtype = np.min_scalar_type((1 << len(principal)) - 1) if len(principal) <= 64 else object
-
-    def encode(masks):
-        return np.array([sum(1 << j for j, p in enumerate(principal) if p & ~mask == 0)
-                         for mask in masks], dtype=dtype)
-
-    codes, down = encode(i.mask for i in ideals), encode(principal)
-    empty, full = encode([0, (1 << m.size) - 1])
-
-    def implies(a, b):
-        outside = a & ~b
-        out = np.zeros(outside.shape, dtype=dtype)
-        for j, d in enumerate(down):
-            out[d & outside == 0] |= 1 << j
-        return out
-
-    ordered = np.sort(codes)   # np.isin would import numpy.ma through np.unique
-
-    def closed(values):
-        at = np.minimum(np.searchsorted(ordered, values), len(ordered) - 1)
-        return (ordered[at] == values).all()
-
-    # pair laws over the (x, y) plane; triple laws for each x over (y, z)
-    a, b = codes[:, None], codes[None, :]
-    meet, join, imp, neg = a & b, a | b, implies(a, b), implies(codes, empty)
-    z_not_y = b & ~a
-    triple = np.ones(3, dtype=bool)
-    for x, imp_x in zip(codes, imp):
-        triple &= [((x & a & b == x & meet) & (x | a | b == x | join)).all(),
-                   ((x & join == (x & a) | (x & b)) & (x | meet == (x | a) & (x | b))).all(),
-                   ((x & z_not_y == 0) == (b & ~imp_x[:, None] == 0)).all()]
-    associative, distributive, residuation = triple
-    laws = {
-        "closure_meet": closed(meet),
-        "closure_join": closed(join),
-        "closure_implies": closed(imp),
-        "closure_not": closed(neg),
-        "commutative": ((meet == b & a) & (join == b | a)).all(),
-        "associative": associative,
-        "idempotent": ((codes & codes == codes) & (codes | codes == codes)).all(),
-        "absorption": ((a & join == a) & (a | meet == a)).all(),
-        "bounds": ((codes & full == codes) & (codes | empty == codes)
-                   & (codes | full == full) & (codes & empty == empty)).all(),
-        "distributive": distributive,
-        "residuation": residuation,
-    }
-    laws = {name: bool(laws[name]) for name in HEYTING_LAW_NAMES}
+    every, _, reps, under = ideal_lattice(m)
+    codes = mask_rows([i.mask for i in ideals], m.size)[:, reps]
+    neg = ~(codes | codes @ under.T)   # bit j of ¬a: no bit of a is j or below it
+    found = row_index(codes, np.concatenate((every, neg))) >= 0
+    holes = every[~found[:len(every)]]
+    # Meet and join are & and |, so commutativity, associativity, idempotence, absorption,
+    # the bounds and distributivity are bit-vector identities; residuation holds as every
+    # code z is a down-set: z & a <= b iff bit j of a => b is set for each j in z.
+    laws = dict.fromkeys(HEYTING_LAW_NAMES, True)
+    laws["closure_not"] = bool(found[len(every):].all())
+    if len(holes):
+        # A closure law fails only at a hole h: meet if h is the meet of the members
+        # around it, join if the join of those within it, implication if h = a => b
+        # for members a reaching its minimal outsiders and b within h, h & a <= b.
+        within, around = ~(~holes @ codes.T), ~(holes @ ~codes.T)
+        reaching = ~((~holes & ~(~holes @ under.T)) @ ~codes.T)
+        laws["closure_meet"] = not (around.any(1) & (~(around @ ~codes) == holes).all(1)).any()
+        laws["closure_join"] = not (within.any(1) & ((within @ codes) == holes).all(1)).any()
+        laws["closure_implies"] = not any((~((codes[tops] & h) @ ~codes[subs].T)).any()
+                                          for h, tops, subs in zip(holes, reaching, within))
+    names = [i.member_names() for i in ideals]
     return {
         "size": m.size,
         "ideal_count": len(ideals),
-        "ideals": [i.member_names() for i in ideals],
+        "ideals": names,
         "laws": laws,
         "all_laws_hold": all(laws.values()),
-        "excluded_middle_failures": [ideals[i].member_names()
-                                     for i in np.flatnonzero(codes | neg != full)],
+        "excluded_middle_failures": [names[i] for i in np.flatnonzero(~(codes | neg).all(axis=1))],
     }

@@ -4,9 +4,9 @@ point-level generalized truth values they induce.
 An M-set keeps its action as one array, ``table[m, i]`` being the index of
 m acting on point i.  Products combine tables by index arithmetic, each
 point-level truth value is the ideal of the rows whose table columns meet
-one condition, and the invariant subsets are the unions of the orbits M·x.
-As Hom(X, Ω) ≅ Sub(X), the equivariant maps X → Ω are the characteristic
-arrows χ_S(p) = {m | m·p ∈ S} of those subsets, each one gather of the table.
+one condition, and the invariant subsets are the down-sets of the orbits M·x
+under inclusion.  As Hom(X, Ω) ≅ Sub(X), the equivariant maps X → Ω are the
+characteristic arrows χ_S(p) = {m | m·p ∈ S} of those subsets, one gather each.
 
 Two membership truth values exist side by side and are never auto-selected:
 ``truth_in_invariant`` (membership of the translate in a fixed invariant
@@ -16,14 +16,15 @@ They disagree in general.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Hashable, Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
 from .errors import CapacityError, UsageError, ValidationError
-from .monoid import (FiniteMonoid, LeftIdeal, enumerate_left_ideals, mask_rows,
-                     orbit_masks, row_masks, union_closure)
+from .monoid import (FiniteMonoid, LeftIdeal, down_sets, enumerate_left_ideals, ideal_lattice,
+                     mask_rows, orbit_masks, row_index, row_masks)
 
 Point = Hashable
 
@@ -292,25 +293,30 @@ def lambda_to_family(x: MSet, pairing: Mapping[tuple[Point, int], LeftIdeal]) ->
                             for m in range(mon.size)))
 
 
-def _invariant_masks(x: MSet) -> list[int]:
-    """The invariant subsets as carrier bitmasks: the unions of the orbits M·x."""
-    return union_closure(orbit_masks(x.table), "invariant-subset lattice")
+def _invariant_rows(x: MSet) -> np.ndarray:
+    """The invariant subsets, one boolean row per subset: the unions of the orbits M·x."""
+    codes, cls, _, _ = down_sets(orbit_masks(x.table), "invariant-subset lattice")
+    return codes[:, cls]
 
 
 def invariant_subsets(x: MSet) -> list[frozenset[Point]]:
     """All invariant subsets, smallest first: the unions of the orbits M·x."""
-    return sorted((frozenset(x.points[i] for i in range(len(x)) if mask >> i & 1)
-                   for mask in _invariant_masks(x)), key=lambda s: (len(s), sorted(map(repr, s))))
+    subsets = (frozenset(itertools.compress(x.points, row)) for row in _invariant_rows(x).tolist())
+    return sorted(subsets, key=lambda s: (len(s), sorted(map(repr, s))))
 
 
 def equivariant_maps_to_ideals(x: MSet) -> list[dict[Point, LeftIdeal]]:
     """All equivariant maps X → Ω, ordered by their tuples of ideal masks:
     as Hom(X, Ω) ≅ Sub(X), the arrows χ_S(p) = {m | m·p ∈ S} of the invariant
     subsets S, raising CapacityError past IDEAL_COUNT_CAP of them."""
-    insides = mask_rows(_invariant_masks(x), len(x))
-    by_mask = {i.mask: i for i in enumerate_left_ideals(x.monoid)}
-    arrows = sorted(_arrow_masks(x, inside) for inside in insides)
-    return [dict(zip(x.points, map(by_mask.__getitem__, arrow))) for arrow in arrows]
+    insides = _invariant_rows(x)
+    ideals = sorted(enumerate_left_ideals(x.monoid), key=lambda i: i.mask)   # index = mask rank
+    reps = ideal_lattice(x.monoid)[2]
+    codes = mask_rows([i.mask for i in ideals], x.monoid.size)[:, reps]
+    arrows = row_index(codes, insides[:, x.table[reps].T])   # bit j of χ_S(p): reps[j]·p ∈ S
+    if len(x):   # lexsort takes the last key first, and needs one
+        arrows = arrows[np.lexsort(arrows.T[::-1])]
+    return [dict(zip(x.points, map(ideals.__getitem__, row))) for row in arrows.tolist()]
 
 
 def arrow_to_invariant(x: MSet, arrow: Mapping[Point, LeftIdeal]) -> frozenset[Point]:

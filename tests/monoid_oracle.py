@@ -4,10 +4,15 @@
 Each oracle reads the multiplication table as nested Python sequences and
 loops over elements (or pairs of maps) one at a time, as the library did
 before it kept the table as one array.  ``verify_associativity`` is the
-whole-cube broadcast that the row-by-row check replaced.
+whole-cube broadcast that the row-by-row check replaced, and
+``union_closure`` the search for every union of the principal ideals (or of
+an M-set's orbits) that the down-set enumeration replaced.
 """
 
 import numpy as np
+
+from monoidtopos.errors import CapacityError
+from monoidtopos.monoid import IDEAL_COUNT_CAP
 
 
 def composition_monoid(maps):
@@ -46,3 +51,31 @@ def verify_associativity(table):
     """``(ab)c == a(bc)`` over all triples, as two ``(n, n, n)`` arrays."""
     t = np.asarray(table, dtype=np.intp)
     return bool(np.array_equal(t[t, :], t[:, t]))
+
+
+def union_closure(masks, what):
+    """Every union of the given bitmasks, the empty union 0 included, in no
+    particular order.  Past IDEAL_COUNT_CAP unions it raises CapacityError,
+    naming ``what`` is being closed."""
+    generators = sorted(set(masks))
+    found = {0}
+    frontier = list(generators)
+    while frontier:
+        mask = frontier.pop()
+        if mask in found:
+            continue
+        found.add(mask)
+        if len(found) > IDEAL_COUNT_CAP:
+            raise CapacityError(f"{what} exceeds configured cap")
+        frontier.extend(mask | g for g in generators if mask | g not in found)
+    return list(found)
+
+
+def left_ideals(table):
+    """The unions of the sets {m*x}, sorted by (size, mask), or None when
+    one of those sets is not closed under left multiplication, which needs a
+    table that is not associative."""
+    reach = reach_masks(table)
+    if any(reach[i] & ~mask for mask in reach for i in range(len(table)) if mask >> i & 1):
+        return None
+    return sorted(union_closure(reach, "ideal lattice"), key=lambda k: (k.bit_count(), k))

@@ -603,3 +603,36 @@ def test_cli_ray_set_of_the_universe_system_is_accepted(tmp_path):
                   "--mode", "context", "--universe", "W", "--rayset", "Y"]):
         code, out = run_cli(argv)
         assert code == 0 and json.loads(out)["status"] == "ok"
+
+
+def right_zero_file(tmp_path, n: int) -> str:
+    """A file declaring RZ: the identity 0 and n - 1 right zeros (a*b = b for
+    b != 0), whose left ideals are M and every set of right zeros."""
+    rows = ",".join("[" + ",".join(str(b or a) for b in range(n)) + "]" for a in range(n))
+    path = tmp_path / "rz.mtd"
+    path.write_text(f"monoid RZ {{ elements {n}; table [{rows}]; }}\n", encoding="utf-8")
+    return str(path)
+
+
+def test_cli_verify_heyting_at_32769_ideals(tmp_path, capsys):
+    code, out = run_cli(["verify-heyting", right_zero_file(tmp_path, 16), "RZ"])
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["status"] == "ok"
+    result = payload["result"]
+    assert result["ideal_count"] == len(result["ideals"]) == 2 ** 15 + 1
+    assert result["all_laws_hold"] and all(result["laws"].values())
+    # every ideal but the empty one and M misses its negation's right zeros
+    assert len(result["excluded_middle_failures"]) == 2 ** 15 - 1
+    assert capsys.readouterr().err == ""
+
+
+def test_cli_verify_heyting_past_the_ideal_cap_is_a_capacity_error(tmp_path, capsys):
+    # 2**16 + 1 ideals, one past IDEAL_COUNT_CAP
+    code, out = run_cli(["verify-heyting", right_zero_file(tmp_path, 17), "RZ"])
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["status"] == "error"
+    assert payload["diagnostics"] == [
+        {"line": 0, "col": 0, "message": "ideal lattice exceeds configured cap"}]
+    assert capsys.readouterr().err == ""

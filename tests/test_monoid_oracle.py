@@ -6,8 +6,8 @@ map monoids on up to 4 points and the principal ideals with the same
 oracle.)
 
 Every comparison is exact: the same tables, identities and names, the same
-ideal-action masks, the same equivariant maps and the same associativity
-verdicts.
+ideal-action masks, the same ideals and invariant subsets as the union
+closure, the same equivariant maps and the same associativity verdicts.
 """
 
 import itertools
@@ -22,7 +22,8 @@ from monoidtopos.dsl import parse_spec
 from monoidtopos.errors import CapacityError, StructureError
 from monoidtopos.monoid import (FiniteMonoid, enumerate_left_ideals, ideal_action, map_monoid,
                                 map_monoid_values, submonoid_closure, verify_associativity)
-from monoidtopos.mset import equivariant_maps_to_ideals, left_regular
+from monoidtopos.mset import (equivariant_maps_to_ideals, invariant_subsets, left_regular,
+                              product_mset)
 from tests.test_monoid import LATTICE_GENERATORS, _closure_by_fixpoint, _min_chain
 
 
@@ -89,6 +90,71 @@ def test_map_monoid_on_five_points_peaks_below_80_mib():
     finally:
         tracemalloc.stop()
     assert peak <= 80 * 2 ** 20
+
+
+def test_map_monoid_on_five_points_peaks_below_32_mib():
+    # the base-5 codes of the products are built one row block at a time
+    tracemalloc.start()
+    try:
+        map_monoid(5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 32 * 2 ** 20
+
+
+def _right_zero(n):
+    """The identity 0 and n - 1 right zeros (a*b = b for b != 0), whose left
+    ideals are M and every set of right zeros: 2**(n - 1) + 1 of them."""
+    return FiniteMonoid([[b or a for b in range(n)] for a in range(n)])
+
+
+def test_left_ideals_are_the_unions_of_principal_ideals_of_the_oracle():
+    for mon in _monoid_corpus() + [map_monoid(4)]:
+        assert [i.mask for i in enumerate_left_ideals(mon)] == oracle.left_ideals(mon.table)
+
+
+@pytest.mark.parametrize("n", range(10, 17))
+def test_left_ideals_of_right_zero_monoids_are_the_unions_of_the_oracle(n):
+    mon = _right_zero(n)
+    masks = [i.mask for i in enumerate_left_ideals(mon)]
+    assert len(masks) == 2 ** (n - 1) + 1
+    assert masks == oracle.left_ideals(mon.table)
+
+
+def test_tables_that_are_not_associative_fail_as_the_union_closure_does():
+    # a set {m*x} that is not closed under left multiplication is named as
+    # the union closure named it, when LeftIdeal checked that union
+    tables = [(table, 0) for table in _tables_with_identity_zero(3)]
+    rng = np.random.default_rng(11)
+    m3 = map_monoid(3)
+    others = [a for a in range(m3.size) if a != m3.identity]
+    for _ in range(40):
+        bent = [list(row) for row in m3.table]
+        a, b = (int(v) for v in rng.choice(others, size=2))
+        bent[a][b] = int(rng.integers(0, m3.size))
+        tables.append((bent, m3.identity))
+    verdicts = set()
+    for table, identity in tables:
+        expected = oracle.left_ideals(table)
+        mon = FiniteMonoid(table, identity)
+        if expected is None:
+            with pytest.raises(StructureError, match="^set is not a left ideal$"):
+                enumerate_left_ideals(mon)
+        else:
+            assert [i.mask for i in enumerate_left_ideals(mon)] == expected
+        verdicts.add(expected is None)
+    assert verdicts == {True, False}
+
+
+def test_invariant_subsets_are_the_unions_of_orbits_of_the_oracle():
+    # the square of the left-regular M-set of a 5-element monoid has 34,482 of them
+    lr = left_regular(random_monoids(7, 10)[2])
+    msets = [left_regular(mon) for mon in _monoid_corpus()] + [product_mset(lr, lr)]
+    for ms in msets:
+        got = sorted(sum(1 << ms.index(p) for p in s) for s in invariant_subsets(ms))
+        assert got == sorted(oracle.union_closure(oracle.reach_masks(ms.table.tolist()), "sets"))
+    assert len(got) == 34_482
 
 
 def test_ideal_action_matches_the_oracle():
