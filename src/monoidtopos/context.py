@@ -9,8 +9,11 @@ relation "the string does not annihilate the ray".  The universe decides
 level, and keeps its members' reductions, gathered from those rows, as one
 stack.  Each polar evaluates the relation as one boolean matrix on rows of
 that stack (strings) and columns of ray representatives, and reduces it
-with ``all`` along the rows or the columns.  Ray-set membership is likewise
-one matrix of normalised overlaps.
+with ``all`` along the rows or the columns.  A RaySet is one (n, d) matrix
+of unit, phase-canonical representatives: its duplicates are found in one
+Gram matrix, a subset keeps its parent and an index array, and ``Ray``
+objects are made only when asked for, shared with the parent.  Ray-set
+membership is likewise one matrix of normalised overlaps.
 
 The contextual valuations are the two predicates of ``reduction``
 (``in_reduced_eigenspace`` and ``rays_agree``) on two more domains of
@@ -24,56 +27,96 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
 from .errors import (ContextError, PreconditionError, StructureError, UsageError,
                      ValidationError)
-from .linalg import DEFAULT_TOL, HermitianOperator, Ray, TolerancePolicy, as_vector, operator_norm
+from .linalg import (DEFAULT_TOL, HermitianOperator, Ray, TolerancePolicy, as_vector,
+                     operator_norm, unit_rows)
 from .reduction import ProjectorAlphabet, in_reduced_eigenspace, rays_agree, unit_state
 from .strings import Letters
 
 
-def _same_rays(left: Sequence[Ray], right: Sequence[Ray], tol: TolerancePolicy) -> np.ndarray:
-    """Entry [i, j] is True iff left[i] and right[j] span the same ray: their
-    normalised overlap |<a, b>| / (|a| |b|) is at least 1 - eps, as in
-    ray_equal."""
-    if not left or not right:
+def _same_rays(left: np.ndarray, right: np.ndarray, tol: TolerancePolicy) -> np.ndarray:
+    """Entry [i, j] is True iff rows left[i] and right[j] span the same ray:
+    their normalised overlap |<a, b>| / (|a| |b|) is at least 1 - eps, as in
+    ray_equal.  The norms are summed down columns of the transposes, one
+    addition at a time, whatever the number of rows."""
+    if not len(left) or not len(right):
         return np.zeros((len(left), len(right)), dtype=bool)
-    a = np.column_stack([r.representative for r in left])
-    b = np.column_stack([r.representative for r in right])
-    if a.shape[0] != b.shape[0]:
-        raise StructureError(f"expected a vector of dimension {a.shape[0]}")
-    norms = np.outer(np.linalg.norm(a, axis=0), np.linalg.norm(b, axis=0))
-    return np.abs(a.conj().T @ b) / norms >= 1.0 - tol.eps
+    if left.shape[1] != right.shape[1]:
+        raise StructureError(f"expected a vector of dimension {left.shape[1]}")
+    norms = np.outer(*(np.linalg.norm(np.ascontiguousarray(m.T), axis=0) for m in (left, right)))
+    return np.abs(left.conj() @ right.T) / norms >= 1.0 - tol.eps
+
+
+def _require_distinct(units: np.ndarray, tol: TolerancePolicy):
+    """Reject a duplicate among the rays of the rows, by their one Gram matrix."""
+    if np.triu(_same_rays(units, units, tol), 1).any():
+        raise ValidationError("ray set contains a duplicate ray")
 
 
 class RaySet:
-    """An ordered finite set of rays (duplicates up to phase rejected)."""
+    """An ordered finite set of rays (duplicates up to phase rejected), kept
+    as the (n, d) matrix ``units`` of their representatives.  The ``Ray``
+    objects are made when asked for; a subset shares its parent's."""
 
     def __init__(self, vectors: Sequence, tol: TolerancePolicy = DEFAULT_TOL):
-        rays = tuple(v if isinstance(v, Ray) else Ray(v, tol) for v in vectors)
-        if any(r.dim != rays[0].dim for r in rays):
-            raise StructureError(f"expected a vector of dimension {rays[0].dim}")
-        if np.triu(_same_rays(rays, rays, tol), 1).any():
-            raise ValidationError("ray set contains a duplicate ray")
-        self.rays = rays
-        self.tol = tol
+        items = list(vectors)
+        given = np.array([isinstance(v, Ray) for v in items], dtype=bool)
+        try:
+            a = np.array([v.representative if r else v for v, r in zip(items, given)],
+                         dtype=complex).reshape(len(items), -1 if items else 0)
+            valid = bool(np.isfinite(a.view(float)).all())
+        except (TypeError, ValueError):
+            valid = False
+        if not valid:   # entries of mixed shapes or not finite: one ray at a time, as Ray names it
+            items = [v if isinstance(v, Ray) else Ray(v, tol) for v in items]
+            if any(r.dim != items[0].dim for r in items):
+                raise StructureError(f"expected a vector of dimension {items[0].dim}")
+            a, given = np.array([r.representative for r in items]), np.ones(len(items), bool)
+        units = a if given.all() else np.where(given[:, None], a, unit_rows(a, tol))
+        _require_distinct(units, tol)
+        self.units, self.tol, self._parent, self._index = units, tol, None, None
+        self._rays = tuple(items) if given.all() else None
+
+    @classmethod
+    def of_units(cls, units: np.ndarray, tol: TolerancePolicy = DEFAULT_TOL) -> "RaySet":
+        """The ray set on rows made by ``unit_rows``; a duplicate is rejected."""
+        _require_distinct(units, tol)
+        return cls._rows(units, tol)
+
+    @classmethod
+    def _rows(cls, units: np.ndarray, tol: TolerancePolicy, parent: Optional["RaySet"] = None,
+              index: Optional[np.ndarray] = None) -> "RaySet":
+        """A ray set on representatives already known to be distinct rays."""
+        out = cls.__new__(cls)
+        out.units, out.tol, out._rays, out._parent, out._index = units, tol, None, parent, index
+        return out
+
+    @property
+    def rays(self) -> tuple[Ray, ...]:
+        if self._rays is None:
+            self._rays = (tuple(map(self._parent.rays.__getitem__, self._index.tolist()))
+                          if self._parent is not None else
+                          tuple(map(Ray.of_unit, self.units)))
+        return self._rays
 
     @property
     def dim(self) -> int:
-        return self.rays[0].dim if self.rays else 0
+        return self.units.shape[1] if len(self.units) else 0
 
     def __len__(self):
-        return len(self.rays)
+        return len(self.units)
 
     def __iter__(self):
         return iter(self.rays)
 
     def index_of(self, vector_or_ray) -> int:
         ray = vector_or_ray if isinstance(vector_or_ray, Ray) else Ray(vector_or_ray, self.tol)
-        hits = np.flatnonzero(_same_rays(self.rays, [ray], self.tol)[:, 0])
+        hits = np.flatnonzero(_same_rays(self.units, ray.representative[None], self.tol)[:, 0])
         if not hits.size:
             raise UsageError("ray is not in the set")
         return int(hits[0])
@@ -86,13 +129,11 @@ class RaySet:
             return False
 
     def subset(self, indices: Iterable[int]) -> "RaySet":
-        picked = sorted(set(indices))
-        out = RaySet([], self.tol)
-        out.rays = tuple(self.rays[i] for i in picked)
-        return out
+        picked = np.array(sorted(set(indices)), dtype=np.intp)
+        return RaySet._rows(self.units[picked], self.tol, self, picked)
 
     def is_subset_of(self, other: "RaySet") -> bool:
-        return bool(_same_rays(other.rays, self.rays, other.tol).any(axis=0).all())
+        return bool(_same_rays(other.units, self.units, other.tol).any(axis=0).all())
 
 
 def in_sp0(alphabet: ProjectorAlphabet, letters: Sequence[str]) -> bool:
@@ -146,8 +187,8 @@ def _non_annihilation(universe: StringUniverse, rows, rays: RaySet) -> np.ndarra
         raise ContextError(f"ray set has dimension {rays.dim}, "
                            f"but the universe's strings act on dimension {d}")
     reductions = universe.reductions[rows]
-    vectors = np.array([r.representative for r in rays], dtype=complex).reshape(-1, d).T
-    images = (reductions.reshape(-1, d) @ vectors).reshape(len(reductions), d, len(rays))
+    images = (reductions.reshape(-1, d) @ rays.units.reshape(-1, d).T).reshape(
+        len(reductions), d, len(rays))
     return np.linalg.norm(images, axis=1) > universe.tol.null_threshold
 
 

@@ -1,18 +1,16 @@
-"""Deterministic corpora: small monoids up to isomorphism, random valid
-monoid tables found as closures inside map monoids, and random quantum
-fixtures.  Everything is seeded, so repeated runs agree byte for byte.
+"""Deterministic corpora: small monoids up to isomorphism and random valid
+monoid tables found as closures inside map monoids.  Everything is seeded,
+so repeated runs agree byte for byte.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Optional, Sequence
+from typing import Iterable
 
 import numpy as np
 
 from .errors import CapacityError
-from .linalg import (DEFAULT_TOL, HermitianOperator, TolerancePolicy,
-                     hermitian_eig, orthonormalize)
 from .monoid import FiniteMonoid, closure_maps, submonoid_closure, verify_associativity
 
 RANDOM_MONOID_ATTEMPTS = 20000
@@ -91,56 +89,3 @@ def random_monoids(seed: int, count: int, sizes: Iterable[int] = (4, 5)) -> list
         raise CapacityError(
             f"found only {len(found)} of {count} random monoids within budget")
     return found
-
-
-def standard_monoid_corpus(seed: int = 2027, random_count: int = 45) -> list[FiniteMonoid]:
-    """The verification corpus: every monoid of size <= 3 up to isomorphism
-    followed by seeded random tables of sizes 4 and 5."""
-    return small_monoids(3) + random_monoids(seed, random_count)
-
-
-# ---------------------------------------------------------------------------
-# Random quantum fixtures
-
-
-def random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
-    for _ in range(20):
-        g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-        q = orthonormalize(g[None], 1e-9)[0]
-        if q.any(axis=0).all():
-            return q
-    raise CapacityError("failed to draw a unitary")
-
-
-def random_state(rng: np.random.Generator, dim: int) -> np.ndarray:
-    v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-    return v / np.linalg.norm(v)
-
-
-def random_hermitian(rng: np.random.Generator, dim: int) -> np.ndarray:
-    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    return (g + g.conj().T) / 2.0
-
-
-def random_projector(rng: np.random.Generator, dim: int,
-                     rank: Optional[int] = None) -> np.ndarray:
-    if rank is None:
-        rank = int(rng.integers(1, dim))
-    u = random_unitary(rng, dim)[:, :rank]
-    return u @ u.conj().T
-
-
-def random_labeled_hermitian(rng: np.random.Generator, dim: int,
-                             values: Sequence[float],
-                             tol: TolerancePolicy = DEFAULT_TOL) -> HermitianOperator:
-    """A Hermitian operator whose spectrum is drawn from the value set."""
-    u = random_unitary(rng, dim)
-    labels = rng.choice(np.asarray(values, dtype=float), size=dim)
-    matrix = u @ np.diag(labels.astype(complex)) @ u.conj().T
-    return hermitian_eig(matrix, tol, snap_to=values)
-
-
-def random_density(rng: np.random.Generator, dim: int) -> np.ndarray:
-    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    rho = g @ g.conj().T
-    return rho / np.real(np.trace(rho))

@@ -33,8 +33,13 @@ well-formed numeric entries is one BLOCK token, which ``row`` and
 ``matrix`` convert in one step with the token path's arithmetic.  A block
 of the wrong depth or entry kind, and a block that any other rule meets,
 is split back into its tokens, and the token path reads it and names any
-error.  Validation runs one eigensolve per matrix declaration: the
-resolved projectors are the alphabet letters, and each ray set is built once.
+error.  A quantum declaration is validated in one stacked pass: its
+operators, densities and projectors as one (k, d, d) array with one
+eigensolve, its states as one (n, d) array with one norm, and its ray sets
+as rows of the states' representatives; the first error is the one that the
+members, validated one at a time in the order of the source, would meet.
+The resolved projectors are the alphabet letters, and each ray set is built
+once.
 """
 
 from __future__ import annotations
@@ -50,12 +55,12 @@ import numpy as np
 
 from .classical import ClassicalSystem
 from .errors import MissingNameError, MonoidToposError
-from .linalg import (DEFAULT_TOL, Projector, TolerancePolicy, as_matrix, as_vector,
-                     hermitian_eig)
+from .linalg import (DEFAULT_TOL, MAX_DIM, Eigh, Projector, TolerancePolicy, as_matrix, as_vector,
+                     raise_first, row_norms, unit_rows)
 from .monoid import FiniteMonoid, verify_associativity
 from .mset import MSet
 from .quantum import QuantumSystem
-from .reduction import DensityMatrix, ProjectorAlphabet
+from .reduction import DensityMatrix, ProjectorAlphabet, densities
 from .context import RaySet, StringUniverse
 
 
@@ -538,11 +543,18 @@ class ResolvedQuantum:
     projectors: dict[str, Projector]
     states: dict[str, np.ndarray]
     densities: dict[str, DensityMatrix]
+    units: np.ndarray   # the states' ray representatives, one row each in order
 
     def state(self, name: str):
         if name in self.states:
             return self.states[name]
         raise MissingNameError(f"unknown state {name!r}")
+
+    def rayset(self, names: Iterable[str], tol: TolerancePolicy) -> RaySet:
+        """The ray set of the named states, on their representatives."""
+        rows = {name: i for i, name in enumerate(self.states)}   # self.state names the unknown
+        return RaySet.of_units(self.units[[rows[n] if n in rows else self.state(n)
+                                           for n in names]], tol)
 
 
 class SystemSpec:
@@ -667,8 +679,7 @@ def _resolve(decls: list, diagnostics: list[Diagnostic], eps: Optional[float],
                 spec.quantum[d.name] = _resolve_quantum(d, tolerance)
             elif isinstance(d, RaySetDecl):
                 rq = spec.lookup(spec.quantum, d.system, "quantum system")
-                rays = RaySet([rq.state(s) for s in d.rays], tolerance)
-                spec.raysets[d.name] = (d.system, rays)
+                spec.raysets[d.name] = (d.system, rq.rayset(d.rays, tolerance))
             elif isinstance(d, UniverseDecl):
                 spec.alphabet_for(d.system, d.alphabet)
                 if d.depth < 0:
@@ -692,10 +703,9 @@ def _require_distinct(names: Iterable[str], what: str):
         seen.add(name)
 
 
-def _infer_values(matrices: list, tol: TolerancePolicy) -> tuple[float, ...]:
+def _infer_values(ops: list, tol: TolerancePolicy) -> tuple[float, ...]:
     found: list[float] = []
-    for matrix in matrices:
-        op = hermitian_eig(matrix, tol)
+    for op in ops:
         for lam in op.eigenvalues:
             snapped = round(lam, 9)
             if not any(abs(snapped - v) <= tol.eps for v in found):
@@ -703,30 +713,71 @@ def _infer_values(matrices: list, tol: TolerancePolicy) -> tuple[float, ...]:
     return tuple(sorted(found))
 
 
+def _arrays(entries: list, shape: tuple[int, ...], one) -> tuple[np.ndarray, dict]:
+    """The well-formed entries as one complex array of the shape, and the
+    error of each other entry by its index: one conversion for all when every
+    entry is well formed, else ``one`` for each."""
+    try:
+        a = np.array(entries, dtype=complex) if entries else np.zeros((0,) + shape, complex)
+        if a.shape[1:] == shape and shape[0] <= MAX_DIM and np.isfinite(a.view(float)).all():
+            return a, {}
+    except (TypeError, ValueError):
+        pass
+    good, errors = [], {}
+    for i, e in enumerate(entries):
+        try:
+            good.append(one(e))
+        except MonoidToposError as exc:
+            errors[i] = exc
+    return np.array(good).reshape((-1,) + shape), errors
+
+
 def _resolve_quantum(d: QuantumDecl, tol: TolerancePolicy) -> ResolvedQuantum:
+    """One pass over the declaration: its matrices are validated as one stack
+    (operators, densities, projectors) with one eigensolve, its states as one
+    array with one norm.  The first error is the one the members met one by
+    one would raise: the operators' shapes, their spectra (inferring the value
+    set, then snapping to it), then each other member in the order declared."""
     if d.dim < 1:
         raise MonoidToposError(f"dimension must be positive, got {d.dim}")
     _require_distinct((m.name for m in d.members), "member name")
-    operators = {m.name: as_matrix(m.matrix, d.dim)
-                 for m in d.members if isinstance(m, MatrixMemberDecl) and m.kind == "operator"}
+    kinds: dict[str, list] = {"operator": [], "density": [], "projector": []}
+    for m in d.members:
+        if isinstance(m, MatrixMemberDecl):
+            kinds[m.kind].append(m)
+    mats = kinds["operator"] + kinds["density"] + kinds["projector"]
+    states = [m for m in d.members if isinstance(m, StateMemberDecl)]
+    stack, errors = _arrays([m.matrix for m in mats], (d.dim, d.dim), lambda e: as_matrix(e, d.dim))
+    vectors, state_errors = _arrays([m.vector for m in states], (d.dim,),
+                                    lambda e: as_vector(e, d.dim))
+    n = len(kinds["operator"])
+    raise_first([errors[i] for i in range(n) if i in errors])
+    rows = [m for i, m in enumerate(mats) if i not in errors]
+    k = n + sum(m.kind == "density" for m in rows)
+    eig = Eigh(stack, tol, raw=np.array([m.kind == "projector" for m in rows], dtype=bool))
     values = d.values
     if values is None:
-        values = _infer_values(list(operators.values()), tol) or (0.0, 1.0)
-    system = QuantumSystem(d.dim, values, operators, tol)
-    projectors = {}
-    states = {}
-    densities = {}
-    for m in d.members:
-        if isinstance(m, StateMemberDecl):
-            v = as_vector(m.vector, d.dim)
-            if float(np.linalg.norm(v)) <= tol.null_threshold:
-                raise MonoidToposError(f"state {m.name!r} is null")
-            states[m.name] = v
-        elif m.kind == "projector":
-            projectors[m.name] = Projector(as_matrix(m.matrix, d.dim), tol)
-        elif m.kind == "density":
-            densities[m.name] = DensityMatrix(as_matrix(m.matrix, d.dim), tol)
-    return ResolvedQuantum(system, projectors, states, densities)
+        found = eig.take(slice(0, k)).operators()
+        values = _infer_values(raise_first(found[:n]), tol) or (0.0, 1.0)
+        found[:n] = eig.take(slice(0, n)).operators(values)
+    else:
+        found = eig.take(slice(0, k)).operators(values, snapped=slice(0, n))
+    system = QuantumSystem(d.dim, values, {m.name: a for m, a in zip(rows, stack[:n])}, tol,
+                           spectra=found[:n])
+    resolved = dict(zip((m.name for m in rows[n:]), densities(eig.take(slice(n, k)), found[n:])
+                        + eig.take(slice(k, None)).projectors()))
+    named = [m.name for i, m in enumerate(states) if i not in state_errors]
+    problems = {mats[i].name: e for i, e in errors.items()}
+    problems.update((states[i].name, e) for i, e in state_errors.items())
+    problems.update((name, e) for name, e in resolved.items() if isinstance(e, MonoidToposError))
+    norms = row_norms(vectors)
+    problems.update((name, MonoidToposError(f"state {name!r} is null"))
+                    for name, norm in zip(named, norms.tolist()) if norm <= tol.null_threshold)
+    raise_first([problems[m.name] for m in d.members if m.name in problems])
+    return ResolvedQuantum(system, {m.name: resolved[m.name] for m in kinds["projector"]},
+                           dict(zip(named, vectors)),
+                           {m.name: resolved[m.name] for m in kinds["density"]},
+                           unit_rows(vectors, tol, norms))
 
 
 # ---------------------------------------------------------------------------

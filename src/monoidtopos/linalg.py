@@ -1,7 +1,8 @@
 """Small dense complex linear algebra for the valuation modules.
 
-Eigendecomposition of Hermitian matrices uses numpy.linalg.eigh and is
-checked by reconstruction; dimensions are capped at MAX_DIM.  A single
+Eigendecomposition of Hermitian matrices uses numpy.linalg.eigh on a stack
+of matrices (``Eigh``; one matrix is a stack of one) and is checked by
+reconstruction; dimensions are capped at MAX_DIM.  A single
 TolerancePolicy (comparison eps, null threshold) governs every numeric
 decision downstream — projector strings are contraction products, so a
 fixed null threshold is safe at any string length.
@@ -9,12 +10,13 @@ fixed null threshold is safe at any string length.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import (DomainError, NumericError, PreconditionError,
+from .errors import (DomainError, MonoidToposError, NumericError, PreconditionError,
                      StructureError, ValidationError)
 
 MAX_DIM = 16
@@ -28,7 +30,7 @@ class TolerancePolicy:
     def __post_init__(self):
         if not (self.eps > 0 and self.null_threshold > 0):
             raise ValidationError("tolerances must be positive")
-        if not np.isfinite([self.eps, self.null_threshold]).all():
+        if not (math.isfinite(self.eps) and math.isfinite(self.null_threshold)):
             raise ValidationError("tolerances must be finite")
 
 
@@ -61,10 +63,6 @@ def as_vector(entries, dim: Optional[int] = None) -> np.ndarray:
     if not np.all(np.isfinite(v.view(float))):
         raise StructureError("vector entries must be finite")
     return v
-
-
-def is_hermitian(a: np.ndarray, eps: float) -> bool:
-    return bool(np.max(np.abs(a - a.conj().T)) <= eps * max(1.0, float(np.max(np.abs(a)))))
 
 
 class Subspace:
@@ -124,7 +122,7 @@ def orthonormalize(columns: np.ndarray, null_threshold: float) -> np.ndarray:
             basis = q[:, :, :j]
             for _ in range(2):
                 w = w - np.einsum("ndk,nk->nd", basis, np.einsum("ndk,nd->nk", basis.conj(), w))
-        norm = np.linalg.norm(w, axis=1)
+        norm = np.sqrt(np.add.reduce((w.conj() * w).real, axis=1))   # as numpy.linalg.norm
         q[:, :, j] = w / np.where(norm > null_threshold, norm, np.inf)[:, None]
     return q
 
@@ -136,14 +134,8 @@ class Projector:
     __slots__ = ("matrix",)
 
     def __init__(self, matrix, tol: TolerancePolicy = DEFAULT_TOL):
-        a = as_matrix(matrix)
-        if not is_hermitian(a, tol.eps):
-            raise ValidationError("projector matrix is not Hermitian")
-        if np.max(np.abs(a @ a - a)) > 1e3 * tol.eps * max(1.0, float(np.max(np.abs(a)))):
-            raise ValidationError("projector matrix is not idempotent")
-        vals, vecs = np.linalg.eigh(a)
-        v = vecs[:, vals > 0.5]
-        self.matrix = v @ v.conj().T
+        eig = Eigh(as_matrix(matrix)[None], tol, raw=True)
+        self.matrix = raise_first(eig.projectors())[0].matrix
 
     @property
     def dim(self) -> int:
@@ -155,6 +147,21 @@ class Projector:
     def __repr__(self):
         return f"Projector(dim={self.dim}, rank={self.rank()})"
 
+
+def _adopt(cls, **slots):
+    """An instance of cls holding data already validated."""
+    obj = object.__new__(cls)
+    for name, value in slots.items():
+        setattr(obj, name, value)
+    return obj
+
+
+def raise_first(results: list) -> list:
+    """The results, unless one is an error: then the first is raised."""
+    for r in results:
+        if isinstance(r, MonoidToposError):
+            raise r
+    return results
 
 class HermitianOperator:
     """A Hermitian matrix with resolved spectral data.
@@ -195,6 +202,118 @@ class HermitianOperator:
         return f"HermitianOperator(dim={self.dim}, eigenvalues=[{vals}])"
 
 
+class Eigh:
+    """The Hermitian test and one ``numpy.linalg.eigh`` of a (k, d, d) stack.
+    Matrix a has the scale max(1, max|a|), is Hermitian when a - a† is within
+    eps·scale, and is decomposed as (a + a†)/2, or as given where ``raw`` is
+    set (projectors).  A resolver gives per matrix the object or the error the
+    matrix alone raises; a failed eigensolve is that of each matrix reaching it."""
+
+    def __init__(self, matrices: np.ndarray, tol: TolerancePolicy = DEFAULT_TOL, raw=False):
+        a, adj = matrices, matrices.conj().transpose(0, 2, 1)
+        self.tol, self.matrices, self.failure, self.sym = tol, a, None, (a + adj) / 2.0
+        self.scale = np.maximum(1.0, np.abs(a).max(axis=(1, 2)))
+        self.hermitian = np.abs(a - adj).max(axis=(1, 2)) <= tol.eps * self.scale
+        self.values, self.vectors = np.zeros(a.shape[:2]), np.zeros_like(a)
+        try:
+            if len(a):
+                self.values, self.vectors = np.linalg.eigh(
+                    np.where(np.reshape(raw, (-1, 1, 1)), a, self.sym) if np.any(raw) else self.sym)
+        except np.linalg.LinAlgError as exc:
+            self.failure = NumericError(f"eigendecomposition failed: {exc}")
+            self.failure.__cause__ = exc
+
+    def take(self, rows) -> "Eigh":
+        """The selected matrices' part, with nothing solved again."""
+        return _adopt(Eigh, tol=self.tol, failure=self.failure, matrices=self.matrices[rows],
+                      scale=self.scale[rows], hermitian=self.hermitian[rows], sym=self.sym[rows],
+                      values=self.values[rows], vectors=self.vectors[rows])
+
+    def _errors(self, hermitian: str, *check) -> list:
+        """Per matrix the first failed check: Hermitian, then ``check`` (a mask of
+        failures and its message), then the eigensolve."""
+        failed, message = check or (np.zeros(len(self.scale), dtype=bool), "")
+        return [ValidationError(hermitian) if not ok else ValidationError(message) if bad
+                else self.failure for ok, bad in zip(self.hermitian.tolist(), failed.tolist())]
+
+    def operators(self, snap_to: Optional[Iterable[float]] = None, snapped=slice(None)) -> list:
+        """``hermitian_eig`` of each matrix, snapping those ``snapped`` selects."""
+        tol, vals, vecs = self.tol, self.values, self.vectors
+        out = self._errors("matrix is not Hermitian within tolerance")
+        snaps = np.zeros(len(vals), dtype=bool)
+        if snap_to is not None:
+            snaps[snapped] = True
+            rows, targets = np.arange(len(vals))[snapped], sorted(set(float(x) for x in snap_to))
+            levels = np.array(targets)
+            dist = np.abs(vals[snapped, :, None] - levels)
+            near = dist <= tol.eps * np.maximum(1.0, np.abs(levels))
+            for r, j in zip(*np.nonzero(~near.any(axis=2))):   # the first per matrix
+                out[rows[r]] = out[rows[r]] or ValidationError(
+                    f"eigenvalue {vals[rows[r], j]!r} does not snap to the declared value set")
+            if targets:   # the nearest target, the first of equals
+                picked, vals = levels[np.where(near, dist, np.inf).argmin(axis=2)], vals.copy()
+                if (picked[:, 1:] < picked[:, :-1]).any():   # targets within 2·eps of another
+                    order = np.argsort(picked, axis=1, kind="stable")
+                    sub = np.arange(len(rows))[:, None]
+                    picked, vecs = picked[sub, order], vecs.copy()
+                    vecs[rows] = vecs[rows].transpose(0, 2, 1)[sub, order].transpose(0, 2, 1)
+                vals[rows] = picked
+        # Clusters: runs near their first value, as (matrix, start, stop, value).
+        groups, firsts = [], []
+        for i, (row, scale, snap) in enumerate(zip(vals.tolist(), self.scale.tolist(),
+                                                   snaps.tolist())):
+            if out[i] is None:
+                near_first, start = max(0.0 if snap else tol.eps * scale, 1e-12 * scale), 0
+                firsts.append(len(groups))
+                for j in range(1, len(row) + 1):
+                    if j == len(row) or not abs(row[j] - row[start]) <= near_first:
+                        groups.append((i, start, j, row[start] if snap or j - start == 1
+                                       else float(np.mean(row[start:j]))))
+                        start = j
+        if not groups:
+            return out
+        # Each eigenspace basis is its block orthonormalised, the blocks of a width at once.
+        bases, projectors = [None] * len(groups), np.empty((len(groups),) + vecs.shape[1:], complex)
+        widths = [stop - start for _, start, stop, _ in groups]
+        for width in set(widths):
+            picked = [g for g, w in enumerate(widths) if w == width]
+            blocks = orthonormalize(np.array([vecs[i, :, start:stop] for i, start, stop, _ in
+                                              map(groups.__getitem__, picked)]), 0.5)
+            projectors[picked] = blocks @ blocks.conj().transpose(0, 2, 1)
+            for g, block, full in zip(picked, blocks, blocks.any(axis=1).all(axis=1).tolist()):
+                bases[g], i = block, groups[g][0]
+                out[i] = out[i] or (None if full else NumericError("eigenvector block lost rank"))
+        # The reconstruction sums value times projector over the clusters in order.
+        kept = [groups[g][0] for g in firsts]
+        with np.errstate(invalid="ignore"):   # an infinite value gives NaN, which fails
+            recon = np.add.reduceat(np.array([g[3] for g in groups])[:, None, None] * projectors,
+                                    firsts, axis=0)
+            off = np.abs(recon - self.sym[kept]).max(axis=(1, 2))
+            good = off <= 10 * tol.eps * self.scale[kept]
+        for i, ok, lo, hi in zip(kept, good.tolist(), firsts, firsts[1:] + [len(groups)]):
+            out[i] = out[i] or (_adopt(HermitianOperator, matrix=self.sym[i],
+                                       eigenvalues=tuple(g[3] for g in groups[lo:hi]),
+                                       bases=tuple(bases[lo:hi]),
+                                       projectors=tuple(projectors[lo:hi])) if ok else
+                                NumericError("spectral reconstruction failed tolerance"))
+        return out
+
+    def projectors(self) -> list:
+        """``Projector`` of each matrix: V V† for its eigenvectors of eigenvalue
+        above 1/2, the last columns in eigh's ascending order."""
+        a, d = self.matrices, self.matrices.shape[-1]
+        out = self._errors("projector matrix is not Hermitian",
+                           np.abs(a @ a - a).max(axis=(1, 2)) > 1e3 * self.tol.eps * self.scale,
+                           "projector matrix is not idempotent")
+        ranks = (self.values > 0.5).sum(axis=1)
+        for rank in set(ranks.tolist()):
+            rows = np.flatnonzero(ranks == rank)
+            v = self.vectors[rows, :, d - rank:]
+            for i, p in zip(rows.tolist(), v @ v.conj().transpose(0, 2, 1)):
+                out[i] = out[i] or _adopt(Projector, matrix=p)
+        return out
+
+
 def hermitian_eig(matrix, tol: TolerancePolicy = DEFAULT_TOL,
                   snap_to: Optional[Iterable[float]] = None) -> HermitianOperator:
     """Spectral decomposition of a Hermitian matrix.
@@ -205,51 +324,7 @@ def hermitian_eig(matrix, tol: TolerancePolicy = DEFAULT_TOL,
     non-Hermitian input and NumericError if the reconstruction of the
     matrix from the spectral data is off.
     """
-    a = as_matrix(matrix)
-    scale = max(1.0, float(np.max(np.abs(a))))
-    if not is_hermitian(a, tol.eps):
-        raise ValidationError("matrix is not Hermitian within tolerance")
-    a = (a + a.conj().T) / 2.0
-    try:
-        vals, vecs = np.linalg.eigh(a)
-    except np.linalg.LinAlgError as exc:
-        raise NumericError(f"eigendecomposition failed: {exc}") from exc
-
-    if snap_to is not None:
-        targets = sorted(set(float(x) for x in snap_to))
-        snapped = []
-        for lam in vals:
-            near = [x for x in targets if abs(lam - float(x)) <= tol.eps * max(1.0, abs(x))]
-            if not near:
-                raise ValidationError(
-                    f"eigenvalue {lam!r} does not snap to the declared value set")
-            snapped.append(min(near, key=lambda x: abs(lam - x)))
-        vals = np.array(snapped)
-
-    order = np.argsort(vals, kind="stable")
-    vals = vals[order]
-    vecs = vecs[:, order]
-    cluster_tol = tol.eps * scale if snap_to is None else 0.0
-    groups: list[tuple[float, list[int]]] = []
-    for i, lam in enumerate(vals):
-        if groups and abs(lam - groups[-1][0]) <= max(cluster_tol, 1e-12 * scale):
-            groups[-1][1].append(i)
-        else:
-            groups.append((float(lam), [i]))
-    bases = []
-    eigenvalues = []
-    for lam, idxs in groups:
-        block = orthonormalize(vecs[None, :, idxs], 0.5)[0]
-        if not block.any(axis=0).all():
-            raise NumericError("eigenvector block lost rank")
-        bases.append(block)
-        eigenvalues.append(float(np.mean([vals[i] for i in idxs])) if snap_to is None else lam)
-
-    op = HermitianOperator(a, eigenvalues, bases)
-    recon = sum(lam * p for lam, p in op.spectrum)
-    if not float(np.max(np.abs(recon - a))) <= 10 * tol.eps * scale:  # NaN fails too
-        raise NumericError("spectral reconstruction failed tolerance")
-    return op
+    return raise_first(Eigh(as_matrix(matrix)[None], tol).operators(snap_to))[0]
 
 
 def spectral_projector(op: HermitianOperator, delta: Iterable[float],
@@ -309,14 +384,11 @@ class Ray:
     __slots__ = ("representative",)
 
     def __init__(self, vector, tol: TolerancePolicy = DEFAULT_TOL):
-        v = as_vector(vector)
-        norm = float(np.linalg.norm(v))
-        if norm <= tol.null_threshold:
-            raise PreconditionError("cannot form the ray of a null vector")
-        v = v / norm
-        pivot = int(np.argmax(np.abs(v)))
-        phase = v[pivot] / abs(v[pivot])
-        self.representative = v / phase
+        self.representative = unit_rows(as_vector(vector)[None], tol)[0]
+
+    @classmethod
+    def of_unit(cls, unit: np.ndarray) -> "Ray":
+        return _adopt(cls, representative=unit)   # a row of unit_rows
 
     @property
     def dim(self) -> int:
@@ -327,6 +399,24 @@ class Ray:
 
     def __repr__(self):
         return f"Ray({np.array2string(self.representative, precision=4)})"
+
+
+def row_norms(a: np.ndarray) -> np.ndarray:
+    """Each row's norm, summed as numpy.linalg.norm sums one vector's."""
+    re, im = a.real[:, None], a.imag[:, None]
+    return np.sqrt((re @ re.transpose(0, 2, 1) + im @ im.transpose(0, 2, 1))[:, 0, 0])
+
+
+def unit_rows(a: np.ndarray, tol: TolerancePolicy = DEFAULT_TOL,
+              norms: Optional[np.ndarray] = None) -> np.ndarray:
+    """The rows' ray representatives: each over its norm, then over the phase
+    of its first largest-magnitude entry.  Null rows have no ray."""
+    norms = row_norms(a) if norms is None else norms
+    if (norms <= tol.null_threshold).any():
+        raise PreconditionError("cannot form the ray of a null vector")
+    v = a / norms[:, None]
+    pivots = v[np.arange(len(v)), np.abs(v).argmax(axis=1)]
+    return v / (pivots / np.hypot(pivots.real, pivots.imag))[:, None]   # hypot: abs of one
 
 
 class _ZeroRay:

@@ -12,6 +12,7 @@ reads every law.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
@@ -84,9 +85,6 @@ class FiniteMonoid:
     def table(self) -> tuple[tuple[int, ...], ...]:
         self._rows = self._rows or tuple(map(tuple, self.mul.tolist()))
         return self._rows
-
-    def name_of(self, a: int) -> str:
-        return self.names[a] if self.names is not None else str(a)
 
     def reach_masks(self) -> tuple[int, ...]:
         """For each element x, the bitmask of {m*x | m in M} (its principal left ideal)."""
@@ -167,6 +165,12 @@ def mask_rows(masks: Sequence[int], size: int) -> np.ndarray:
                          axis=1, count=size, bitorder="little").view(bool)
 
 
+@functools.lru_cache(maxsize=None)
+def _numerals(size: int) -> tuple[str, ...]:
+    """The default element names '0', '1', ..."""
+    return tuple(map(str, range(size)))
+
+
 def _is_ideal_mask(m: FiniteMonoid, mask: int) -> bool:
     reach, rest = m.reach_masks(), mask
     while rest:
@@ -194,12 +198,21 @@ class LeftIdeal:
         if not _is_ideal_mask(self.monoid, self.mask):
             raise StructureError("set is not a left ideal")
 
+    @classmethod
+    def _known(cls, monoid: FiniteMonoid, mask: int) -> "LeftIdeal":
+        """An ideal whose mask is known to be one, made without the check."""
+        ideal = object.__new__(cls)
+        ideal.__dict__.update(monoid=monoid, mask=mask)
+        return ideal
+
     @property
     def members(self) -> frozenset[int]:
         return frozenset(i for i in range(self.monoid.size) if self.mask >> i & 1)
 
     def member_names(self) -> tuple[str, ...]:
-        return tuple(self.monoid.name_of(i) for i in sorted(self.members))
+        """The members' names in element order, read off the mask's bits."""
+        bits = map("1".__eq__, bin(self.mask)[:1:-1])   # character i is bit i
+        return tuple(itertools.compress(self.monoid.names or _numerals(self.monoid.size), bits))
 
     def __contains__(self, elem: int) -> bool:
         return bool(self.mask >> elem & 1)
@@ -261,11 +274,13 @@ def heyting_not(ideal: LeftIdeal) -> LeftIdeal:
 
 
 def enumerate_left_ideals(m: FiniteMonoid) -> list[LeftIdeal]:
-    """All left ideals, sorted by (size, mask); always contains 0 and M."""
+    """All left ideals, sorted by (size, mask); always contains 0 and M.  Each
+    is a union of principal ideals, which ``ideal_lattice`` has checked, so
+    none is checked again."""
     if m._ideals is None:
         codes, cls, _, _ = ideal_lattice(m)
         masks = sorted(row_masks(codes[:, cls]), key=lambda k: (k.bit_count(), k))
-        m._ideals = tuple(LeftIdeal(m, mask) for mask in masks)
+        m._ideals = tuple(LeftIdeal._known(m, mask) for mask in masks)
     return list(m._ideals)
 
 

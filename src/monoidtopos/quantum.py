@@ -12,13 +12,14 @@ routes to the valuation are the shared ones of ``classical.py``.
 
 from __future__ import annotations
 
-from typing import Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
 from . import classical
 from .errors import MissingNameError, PreconditionError, UsageError, ValidationError
-from .linalg import DEFAULT_TOL, HermitianOperator, TolerancePolicy, as_vector, hermitian_eig
+from .linalg import (DEFAULT_TOL, HermitianOperator, TolerancePolicy, as_vector, hermitian_eig,
+                     raise_first)
 
 # A named base operator relabelled: one value index per eigenvalue cluster.
 LabeledOperator = tuple[str, tuple[int, ...]]
@@ -29,13 +30,19 @@ class QuantumSystem(classical.ValueSetSystem):
 
     def __init__(self, dim: int, values: Sequence[float],
                  operators: dict[str, np.ndarray] | None = None,
-                 tol: TolerancePolicy = DEFAULT_TOL):
+                 tol: TolerancePolicy = DEFAULT_TOL, spectra: Optional[list] = None):
+        """``spectra`` are the operators' ``hermitian_eig`` results snapped to
+        the value set, in their order, when the caller has made them with
+        the rest of its stack (``Eigh.operators``); any error among them is
+        raised once the value set is validated."""
         self.dim, self.tol = int(dim), tol
         super().__init__(values)
+        operators = operators or {}
         self.operators: dict[str, HermitianOperator] = {}
         self.labels: dict[str, tuple[int, ...]] = {}
-        for name, matrix in (operators or {}).items():
-            op = hermitian_eig(matrix, self.tol, snap_to=self.values)
+        for (name, matrix), op in zip(operators.items(), spectra or [None] * len(operators)):
+            op = (hermitian_eig(matrix, tol, snap_to=self.values) if op is None
+                  else raise_first([op])[0])
             if op.dim != self.dim:
                 raise ValidationError(f"operator {name!r} has wrong dimension")
             self.operators[str(name)] = op

@@ -25,10 +25,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import MissingNameError, UsageError, ValidationError
-from .linalg import (DEFAULT_TOL, HermitianOperator, Projector, Ray, Subspace,
+from .errors import MissingNameError, MonoidToposError, UsageError, ValidationError
+from .linalg import (DEFAULT_TOL, Eigh, HermitianOperator, Projector, Ray, Subspace,
                      TolerancePolicy, ZERO_RAY, RayOrZero, as_matrix, as_vector,
-                     orthonormalize)
+                     orthonormalize, raise_first)
 from .strings import BoundedIdeal, Letters, ProjStringMonoid, bounded_ideal
 
 DEFAULT_DEPTH = 4
@@ -99,24 +99,34 @@ class DensityMatrix:
     __slots__ = ("matrix",)
 
     def __init__(self, matrix, tol: TolerancePolicy = DEFAULT_TOL):
-        from .linalg import hermitian_eig
-
-        a = as_matrix(matrix)
-        try:
-            op = hermitian_eig(a, tol)   # its one failure without snap_to: not Hermitian
-        except ValidationError:
-            raise ValidationError("density matrix is not Hermitian") from None
-        scale = max(1.0, float(np.max(np.abs(a))))
-        if min(op.eigenvalues) < -1e3 * tol.eps * scale:
-            raise ValidationError("density matrix is not positive semidefinite")
-        trace = float(np.real(np.trace(a)))
-        if trace <= tol.null_threshold:
-            raise ValidationError("density matrix must have positive trace")
-        self.matrix = a / trace
+        eig = Eigh(as_matrix(matrix)[None], tol)
+        self.matrix = raise_first(densities(eig, eig.operators()))[0].matrix
 
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
+
+
+def densities(eig: Eigh, spectra: list) -> list:
+    """``DensityMatrix`` of each matrix of a decomposed stack, given its
+    ``Eigh.operators`` result, or its error: Hermitian, eigenvalues (as
+    ``hermitian_eig`` clusters them) no lower than -1e3·eps·scale, and a
+    trace above the null threshold to divide by."""
+    tol, out = eig.tol, []
+    traces = np.trace(eig.matrices, axis1=1, axis2=2).real.tolist()
+    for op, scale, trace, a in zip(spectra, eig.scale.tolist(), traces, eig.matrices):
+        if isinstance(op, ValidationError):   # its one without snap_to: not Hermitian
+            op = ValidationError("density matrix is not Hermitian")
+        elif not isinstance(op, MonoidToposError):
+            if min(op.eigenvalues) < -1e3 * tol.eps * scale:
+                op = ValidationError("density matrix is not positive semidefinite")
+            elif trace <= tol.null_threshold:
+                op = ValidationError("density matrix must have positive trace")
+            else:
+                op = object.__new__(DensityMatrix)
+                op.matrix = a / trace
+        out.append(op)
+    return out
 
 
 def act_on_ray(a: np.ndarray, ray: RayOrZero, tol: TolerancePolicy = DEFAULT_TOL) -> RayOrZero:

@@ -16,9 +16,7 @@ from monoidtopos.classical import (ClassicalSystem, E_s_valuation,
 from monoidtopos.context import (RaySet, StringUniverse, closure_rays, is_full,
                                  polar_of_rays, polar_of_strings,
                                  sieve_truth_equal, sieve_valuation)
-from monoidtopos.corpus import (random_labeled_hermitian, random_projector,
-                                random_state, small_monoids,
-                                standard_monoid_corpus)
+from monoidtopos.corpus import small_monoids
 from monoidtopos.linalg import apply_function, hermitian_eig, spectral_projector
 from monoidtopos.monoid import (FiniteMonoid, enumerate_left_ideals,
                                 heyting_report, map_monoid)
@@ -34,6 +32,8 @@ from monoidtopos.reduction import (DensityMatrix, ProjectorAlphabet,
 import tests.mset_oracle as mset_oracle
 from tests.conftest import E1, E2, PLUS, PMINUS, PPLUS, PZ, SZ
 from tests.test_cli import RUNS, run_cli
+from tests.generators import (random_labeled_hermitian, random_projector, random_state,
+                              standard_monoid_corpus)
 
 SEED = 2027
 

@@ -6,12 +6,12 @@ from monoidtopos.context import (Arrow, RaySet, Sieve, StringUniverse, arrows_ou
                                  context_valuation, in_sp0, is_full, polar_of_rays,
                                  polar_of_strings, presheaf_at, presheaf_restrict,
                                  reducible, sieve_truth_equal, sieve_valuation)
-from monoidtopos.corpus import random_projector, random_state
 from monoidtopos.errors import (ContextError, PreconditionError, UsageError,
                                 ValidationError)
 from monoidtopos.linalg import Ray, hermitian_eig, ray_equal
 from monoidtopos.reduction import ProjectorAlphabet
 from tests.conftest import E1, E2, PLUS, PMINUS, PPLUS, PZ, SZ
+from tests.generators import random_projector, random_state
 
 
 @pytest.fixture

@@ -250,11 +250,11 @@ def test_each_matrix_declaration_is_validated_with_one_eigensolve(monkeypatch):
     text = (Path(__file__).parent / "fixtures" / "qubit.mtd").read_text(encoding="utf-8")
     result = parse_spec(text)
     assert result.ok
-    # operator A, projectors Pz, Pminus and Pplus, density rho
-    assert len(calls) == 5
+    # operator A, projectors Pz, Pminus and Pplus and density rho as one stack
+    assert calls == [(5, 2, 2)]
     spec = result.spec
     assert spec.rayset("Xi")[1] is spec.rayset("Xi")[1]
     alphabet = spec.alphabet_for("Q", ("Pz", "Pplus"))
-    assert len(calls) == 5
+    assert len(calls) == 1
     for name in ("Pz", "Pplus"):
         assert np.array_equal(alphabet.matrix(name), spec.quantum["Q"].projectors[name].matrix)

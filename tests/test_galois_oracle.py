@@ -15,12 +15,12 @@ import pytest
 
 from monoidtopos.context import (RaySet, StringUniverse, closure_rays, is_full,
                                  polar_of_rays, polar_of_strings)
-from monoidtopos.corpus import random_projector, random_state
 from monoidtopos.errors import StructureError, UsageError, ValidationError
 from monoidtopos.linalg import DEFAULT_TOL, Ray, TolerancePolicy, ray_equal
 from monoidtopos.reduction import ProjectorAlphabet
 from tests.conftest import PPLUS, PZ
 from tests.valuation_oracle import reduce
+from tests.generators import random_projector, random_state
 
 # The default policy, and one whose null threshold differs from its eps.
 POLICIES = [DEFAULT_TOL, TolerancePolicy(eps=1e-9, null_threshold=1e-6)]
@@ -246,8 +246,8 @@ def test_ray_set_membership_matches_ray_equal(dim, eps):
     assert 0 < hits < len(queries)
     for _ in range(20):
         picked = [q for q in queries if rng.random() < 0.3]
-        sub = RaySet([], tol)
-        sub.rays = tuple(picked)
+        # picked may hold one ray twice, which RaySet() rejects: take its rows as given
+        sub = RaySet._rows(np.array([q.representative for q in picked]).reshape(-1, dim), tol)
         assert sub.is_subset_of(ray_set) == oracle_is_subset(picked, members, tol)
         assert ray_set.is_subset_of(sub) == oracle_is_subset(members, picked, tol)
 

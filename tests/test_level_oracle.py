@@ -28,13 +28,13 @@ import tests.valuation_oracle as oracle
 from monoidtopos.context import (RaySet, StringUniverse, closure_rays, context_truth_equal,
                                  context_valuation, in_sp0, is_full, polar_of_rays,
                                  polar_of_strings)
-from monoidtopos.corpus import (random_density, random_labeled_hermitian,
-                                random_projector, random_state, random_unitary)
 from monoidtopos.linalg import DEFAULT_TOL, TolerancePolicy, operator_norm
 from monoidtopos.reduction import (DensityMatrix, ProjectorAlphabet,
                                    truth_ray_equal_strings, valuation_density,
                                    valuation_ray, valuation_vector)
 from monoidtopos.strings import ProjStringMonoid, bounded_ideal
+from tests.generators import (random_density, random_labeled_hermitian, random_projector,
+                              random_state, random_unitary)
 
 POLICIES = [DEFAULT_TOL, TolerancePolicy(eps=1e-9, null_threshold=1e-6)]
 

@@ -3,8 +3,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from monoidtopos.corpus import (random_hermitian, random_projector, random_state,
-                                random_unitary)
 from monoidtopos.errors import (DomainError, NumericError, PreconditionError,
                                 StructureError, ValidationError)
 from monoidtopos.linalg import (DEFAULT_TOL, Projector, Ray, Subspace,
@@ -13,6 +11,7 @@ from monoidtopos.linalg import (DEFAULT_TOL, Projector, Ray, Subspace,
                                 orthonormalize, ray_equal, spectral_projector)
 from tests.conftest import E1, E2, PLUS, PPLUS, PZ, SX, SZ
 from tests.valuation_oracle import image_subspace, in_subspace
+from tests.generators import random_hermitian, random_projector, random_state, random_unitary
 
 
 def test_tolerance_policy_positive():

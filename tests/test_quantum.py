@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from monoidtopos.corpus import random_labeled_hermitian, random_state
 from monoidtopos.errors import PreconditionError, UsageError, ValidationError
 from monoidtopos.linalg import spectral_projector
 from monoidtopos.mset import is_invariant
@@ -9,6 +8,7 @@ from monoidtopos.quantum import (E_psi_membership, E_psi_subset,
                                  E_psi_valuation_via_arrow, QuantumSystem,
                                  proposition_mset, quantum_function_valuation)
 from tests.conftest import E1, E2, PLUS, SZ
+from tests.generators import random_labeled_hermitian, random_state
 
 
 @pytest.fixture

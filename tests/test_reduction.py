@@ -1,8 +1,6 @@
 import numpy as np
 import pytest
 
-from monoidtopos.corpus import (random_labeled_hermitian, random_projector,
-                                random_state)
 from monoidtopos.context import sieve_valuation
 from monoidtopos.errors import (MissingNameError, PreconditionError, UsageError,
                                 ValidationError)
@@ -12,6 +10,7 @@ from monoidtopos.reduction import (DensityMatrix, ProjectorAlphabet, act_on_ray,
                                    valuation_ray, valuation_vector)
 from tests.conftest import E1, E2, PLUS, PMINUS, PPLUS, PZ
 from tests.valuation_oracle import canonical_word, image_subspace
+from tests.generators import random_labeled_hermitian, random_projector, random_state
 
 
 def test_alphabet_validates_letters():

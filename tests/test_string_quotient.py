@@ -24,13 +24,13 @@ import pytest
 
 import tests.valuation_oracle as oracle
 from monoidtopos.context import RaySet, StringUniverse, in_sp0, polar_of_rays, reducible
-from monoidtopos.corpus import (random_density, random_labeled_hermitian,
-                                random_projector, random_state, random_unitary)
 from monoidtopos.linalg import DEFAULT_TOL, Projector, TolerancePolicy
 from monoidtopos.reduction import (DensityMatrix, ProjectorAlphabet, in_reduced_eigenspace,
                                    rays_agree, truth_ray_equal_strings, unit_state,
                                    valuation_density, valuation_ray, valuation_vector)
 from monoidtopos.strings import bounded_ideal
+from tests.generators import (random_density, random_labeled_hermitian, random_projector,
+                              random_state, random_unitary)
 
 DEPTH = 8
 ALPHABETS = [(dim, n) for dim in (2, 3, 4) for n in (3, 1)]

@@ -26,8 +26,6 @@ from hypothesis import strategies as st
 import tests.valuation_oracle as oracle
 from monoidtopos.context import (RaySet, StringUniverse, context_truth_equal,
                                  context_valuation, sieve_truth_equal, sieve_valuation)
-from monoidtopos.corpus import (random_density, random_labeled_hermitian,
-                                random_projector, random_state)
 from monoidtopos.errors import ContextError, MonoidToposError
 from monoidtopos.linalg import (DEFAULT_TOL, HermitianOperator, TolerancePolicy,
                                 orthonormalize, ray_equal)
@@ -35,6 +33,8 @@ from monoidtopos.reduction import (DensityMatrix, ProjectorAlphabet,
                                    truth_ray_equal_strings, valuation_density,
                                    valuation_ray, valuation_vector)
 from tests.conftest import E1, E2, PLUS, PPLUS, PZ
+from tests.generators import (random_density, random_labeled_hermitian, random_projector,
+                              random_state)
 
 # The default policy, and one whose null threshold differs from its eps.
 POLICIES = [DEFAULT_TOL, TolerancePolicy(eps=1e-9, null_threshold=1e-6)]

@@ -14,7 +14,6 @@ import pytest
 
 from monoidtopos import classical, quantum
 from monoidtopos.classical import ClassicalSystem
-from monoidtopos.corpus import random_labeled_hermitian, random_state
 from monoidtopos.errors import (CapacityError, MissingNameError, MonoidToposError,
                                 PreconditionError, UsageError, ValidationError)
 from monoidtopos.linalg import as_vector
@@ -22,6 +21,7 @@ from monoidtopos.monoid import map_monoid_values
 from monoidtopos.mset import MSet, is_invariant, truth_in_invariant
 from monoidtopos.quantum import QuantumSystem
 from tests.mset_oracle import table_of
+from tests.generators import random_labeled_hermitian, random_state
 
 
 # ---------------------------------------------------------------------------
