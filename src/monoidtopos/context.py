@@ -7,13 +7,13 @@ of candidate rays.  All Galois identities hold exactly for the restricted
 relation "the string does not annihilate the ray".  The universe decides
 "non-null" once per canonical word (no letter next to itself), level by
 level, and keeps its members' reductions, gathered from those rows, as one
-stack.  Each polar evaluates the relation as one boolean matrix on rows of
-that stack (strings) and columns of ray representatives, and reduces it
-with ``all`` along the rows or the columns.  A RaySet is one (n, d) matrix
-of unit, phase-canonical representatives: its duplicates are found in one
-Gram matrix, a subset keeps its parent and an index array, and ``Ray``
-objects are made only when asked for, shared with the parent.  Ray-set
-membership is likewise one matrix of normalised overlaps.
+stack.  A RaySet is one (n, d) matrix of unit, phase-canonical
+representatives (duplicates found in one Gram matrix); a subset records its
+root set and rows there, and shares the root's ``Ray`` objects, made when
+asked for.  The universe decides the relation, one boolean matrix on its
+strings and a root set's rays, once per root set; each polar and closure
+gathers it at row and column indices and reduces it with ``all``.  Relatives
+are compared by rows, other ray sets by one matrix of normalised overlaps.
 
 The contextual valuations are the two predicates of ``reduction``
 (``in_reduced_eigenspace`` and ``rays_agree``) on two more domains of
@@ -25,6 +25,7 @@ from the right.
 from __future__ import annotations
 
 import itertools
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional, Sequence
@@ -60,8 +61,8 @@ def _require_distinct(units: np.ndarray, tol: TolerancePolicy):
 
 class RaySet:
     """An ordered finite set of rays (duplicates up to phase rejected), kept
-    as the (n, d) matrix ``units`` of their representatives.  The ``Ray``
-    objects are made when asked for; a subset shares its parent's."""
+    as the (n, d) matrix ``units`` of their representatives.  A subset records
+    its root (the set that is no one's subset) and its rows there."""
 
     def __init__(self, vectors: Sequence, tol: TolerancePolicy = DEFAULT_TOL):
         items = list(vectors)
@@ -79,7 +80,7 @@ class RaySet:
             a, given = np.array([r.representative for r in items]), np.ones(len(items), bool)
         units = a if given.all() else np.where(given[:, None], a, unit_rows(a, tol))
         _require_distinct(units, tol)
-        self.units, self.tol, self._parent, self._index = units, tol, None, None
+        self.units, self.tol, self._root, self._index = units, tol, None, None
         self._rays = tuple(items) if given.all() else None
 
     @classmethod
@@ -89,18 +90,22 @@ class RaySet:
         return cls._rows(units, tol)
 
     @classmethod
-    def _rows(cls, units: np.ndarray, tol: TolerancePolicy, parent: Optional["RaySet"] = None,
+    def _rows(cls, units: np.ndarray, tol: TolerancePolicy, root: Optional["RaySet"] = None,
               index: Optional[np.ndarray] = None) -> "RaySet":
         """A ray set on representatives already known to be distinct rays."""
         out = cls.__new__(cls)
-        out.units, out.tol, out._rays, out._parent, out._index = units, tol, None, parent, index
+        out.units, out.tol, out._rays, out._root, out._index = units, tol, None, root, index
         return out
+
+    def lineage(self) -> tuple["RaySet", np.ndarray]:
+        """The root set and this set's rows in it."""
+        return (self, np.arange(len(self))) if self._root is None else (self._root, self._index)
 
     @property
     def rays(self) -> tuple[Ray, ...]:
         if self._rays is None:
-            self._rays = (tuple(map(self._parent.rays.__getitem__, self._index.tolist()))
-                          if self._parent is not None else
+            self._rays = (tuple(map(self._root.rays.__getitem__, self._index.tolist()))
+                          if self._root is not None else
                           tuple(map(Ray.of_unit, self.units)))
         return self._rays
 
@@ -130,9 +135,14 @@ class RaySet:
 
     def subset(self, indices: Iterable[int]) -> "RaySet":
         picked = np.array(sorted(set(indices)), dtype=np.intp)
-        return RaySet._rows(self.units[picked], self.tol, self, picked)
+        root, rows = self.lineage()
+        return RaySet._rows(self.units[picked], self.tol, root, rows[picked])
 
     def is_subset_of(self, other: "RaySet") -> bool:
+        """Between relatives (one root and tolerance) an inclusion of rows, else by overlaps."""
+        (root, rows), (other_root, other_rows) = self.lineage(), other.lineage()
+        if root is other_root and self.tol == other.tol:
+            return set(rows.tolist()).issubset(other_rows.tolist())
         return bool(_same_rays(other.units, self.units, other.tol).any(axis=0).all())
 
 
@@ -155,6 +165,8 @@ class StringUniverse:
         self.members = tuple(itertools.compress(
             itertools.chain.from_iterable(strings for strings, _ in levels), alive))
         self.reductions = stack[rows[alive]]
+        # the relation's matrix by root ray set (see _incidence), dropped with the set
+        self.incidence = weakref.WeakKeyDictionary()
 
     @cached_property
     def _rows(self) -> dict[Letters, int]:
@@ -178,23 +190,39 @@ class StringUniverse:
             raise UsageError(f"string {exc.args[0]!r} is outside the universe") from None
 
 
-def _non_annihilation(universe: StringUniverse, rows, rays: RaySet) -> np.ndarray:
+def _non_annihilation(universe: StringUniverse, rays: RaySet) -> np.ndarray:
     """The relation of the Galois connection as a boolean matrix: entry
-    [i, j] is True iff the universe's string at rows[i] does not annihilate
+    [i, j] is True iff the universe's i-th string does not annihilate
     rays[j], i.e. sends the ray's representative above the null threshold."""
     d = universe.alphabet.dim
     if len(rays) and rays.dim != d:
         raise ContextError(f"ray set has dimension {rays.dim}, "
                            f"but the universe's strings act on dimension {d}")
-    reductions = universe.reductions[rows]
+    reductions = universe.reductions
     images = (reductions.reshape(-1, d) @ rays.units.reshape(-1, d).T).reshape(
         len(reductions), d, len(rays))
     return np.linalg.norm(images, axis=1) > universe.tol.null_threshold
 
 
+def _incidence(universe: StringUniverse, rays: RaySet) -> np.ndarray:
+    """The relation at the set's columns, of the universe's matrix for its root (if any)."""
+    root, cols = rays.lineage()
+    if not len(cols):
+        return np.ones((len(universe), 0), dtype=bool)
+    if (inc := universe.incidence.get(root)) is None:
+        inc = universe.incidence[root] = _non_annihilation(universe, root)
+    return inc[:, cols]
+
+
 def _polar_rows(xi: RaySet, universe: StringUniverse) -> np.ndarray:
     """The rows of the universe annihilating no ray of the set."""
-    return np.flatnonzero(_non_annihilation(universe, slice(None), xi).all(axis=1))
+    return _incidence(universe, xi).all(axis=1).nonzero()[0]
+
+
+def _polar_of_rows(universe: StringUniverse, rows: np.ndarray, candidates: RaySet) -> RaySet:
+    """The candidates annihilated by no string at the universe's rows."""
+    keep = _incidence(universe, candidates)[rows].all(axis=0)
+    return candidates.subset(keep.nonzero()[0].tolist())
 
 
 def polar_of_rays(xi: RaySet, universe: StringUniverse) -> tuple[Letters, ...]:
@@ -207,16 +235,14 @@ def polar_of_strings(universe: StringUniverse, strings: Iterable[Letters],
                      candidates: RaySet) -> RaySet:
     """Rays of the candidate set annihilated by no string of the given
     subset of the universe."""
-    rows = universe.check_subset(strings)
-    keep = _non_annihilation(universe, rows, candidates).all(axis=0)
-    return candidates.subset(np.flatnonzero(keep).tolist())
+    return _polar_of_rows(universe, universe.check_subset(strings), candidates)
 
 
 def closure_rays(xi: RaySet, universe: StringUniverse, candidates: RaySet) -> RaySet:
     """Double polar of a ray set relative to the two universes."""
     if not xi.is_subset_of(candidates):
         raise UsageError("ray set must lie inside the candidate universe")
-    return polar_of_strings(universe, polar_of_rays(xi, universe), candidates)
+    return _polar_of_rows(universe, _polar_rows(xi, universe), candidates)
 
 
 def is_full(xi: RaySet, universe: StringUniverse, candidates: RaySet) -> bool:

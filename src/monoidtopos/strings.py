@@ -12,6 +12,7 @@ array per level up to a depth, certified by comparing each level with the next.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -62,6 +63,13 @@ class ProjStringMonoid:
         """Strings of each length 0..max_len: level k+1 is each letter (slowest) + level k."""
         if max_len < 0:
             raise PreconditionError("max_len must be non-negative")
+        # Two letters or more give over 2**max_len strings, one letter max_len**2 / 2
+        # letters in all: a deeper domain is refused before it is counted.
+        limit = (DEFAULT_STRING_BUDGET.bit_length() if len(self.alphabet) > 1
+                 else math.isqrt(2 * DEFAULT_STRING_BUDGET))
+        if max_len > limit:
+            raise CapacityError(f"strings longer than {limit} letters exceed budget "
+                                f"{DEFAULT_STRING_BUDGET}")
         if (count := self.count_strings(max_len)) > DEFAULT_STRING_BUDGET:
             raise CapacityError(f"{count} strings exceed budget {DEFAULT_STRING_BUDGET}")
         for k in range(max_len + 1):

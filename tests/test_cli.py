@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import time
 from contextlib import redirect_stdout
 from pathlib import Path
 
@@ -319,6 +320,24 @@ def test_cli_rejects_a_negative_depth_from_a_query_entry(tmp_path):
     assert code == 1
     assert json.loads(out)["diagnostics"][0]["message"] == (
         "--depth must be non-negative, got -1")
+
+
+@pytest.mark.parametrize("argv", [
+    ["polar", "--universe", "Deep", "--rayset", "Xi"],
+    ["closure", "--universe", "Deep", "--rayset", "Xi", "--candidates", "V"],
+    ["valuate"] + RUNS["valuate_ray"][2:] + ["--depth", "20000"],
+])
+def test_cli_deep_string_domains_are_a_capacity_error(tmp_path, argv):
+    # refused before the size of the domain (over 2**20000 strings) is computed
+    path = fixture_with(tmp_path, "universe Deep { system Q; alphabet (Pz,Pplus); depth 1e300; }")
+    start = time.perf_counter()
+    code, out = run_cli([argv[0], path] + argv[1:])
+    assert time.perf_counter() - start < 2.0
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["status"] == "error"
+    assert payload["diagnostics"] == [
+        {"line": 0, "col": 0, "message": "strings longer than 21 letters exceed budget 1048576"}]
 
 
 @pytest.mark.parametrize("flag", ["--subset", "--subset2"])

@@ -12,7 +12,10 @@ just either side of 1 - eps (and exactly on it).
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from monoidtopos import context
 from monoidtopos.context import (RaySet, StringUniverse, closure_rays, is_full,
                                  polar_of_rays, polar_of_strings)
 from monoidtopos.errors import StructureError, UsageError, ValidationError
@@ -297,3 +300,224 @@ def test_ray_sets_of_different_dimensions_are_a_structure_error():
         RaySet([[1, 0], [0, 1, 0]])
     with pytest.raises(StructureError):
         RaySet([[1, 0]]).contains([1, 0, 0])
+
+
+# ---------------------------------------------------------------------------
+# The incidence cache: one matrix per universe and root ray set
+
+
+def assert_galois_matches_oracle(universe, candidates, xi, strings):
+    """Both polars, the closure and fullness of ``xi`` against the oracle;
+    a set outside the candidates is refused by both."""
+    assert polar_of_rays(xi, universe) == oracle_polar_of_rays(xi, universe)
+    assert (polar_of_strings(universe, strings, candidates).rays
+            == oracle_polar_of_strings(universe, strings, candidates))
+    try:
+        expected = oracle_closure_rays(xi, universe, candidates)
+    except UsageError:
+        with pytest.raises(UsageError, match="^ray set must lie inside the candidate universe$"):
+            closure_rays(xi, universe, candidates)
+        return
+    assert closure_rays(xi, universe, candidates).rays == expected
+    assert is_full(xi, universe, candidates) == oracle_is_full(xi, universe, candidates)
+
+
+def straddling_rays(alphabets, universe, rng):
+    """Rays sent just below and just above each alphabet's null threshold by
+    strings with a kernel, with basis and random rays; near-duplicates dropped."""
+    tol = alphabets[0].tol
+    rays = [Ray(v, tol) for v in np.eye(alphabets[0].dim)]
+    kernel_strings = [q for q in universe.members
+                      if np.linalg.svd(reduce(alphabets[0], q), compute_uv=False)[-1] <= 1e-12]
+    assert kernel_strings
+    for alphabet in alphabets:
+        for n, q in enumerate(kernel_strings[:6]):
+            rays.append(Ray(near_threshold_vector(alphabet, q, rng, 1 if n % 2 else -1), tol))
+    rays += [Ray(random_state(rng, alphabets[0].dim), tol) for _ in range(4)]
+    kept = []
+    for ray in rays:
+        if not any(ray.same_ray(r, tol) for r in kept):
+            kept.append(ray)
+    return kept
+
+
+def random_draws(rng, n_rays, members, count):
+    for _ in range(count):
+        picked = rng.choice(n_rays, size=int(rng.integers(0, 5)), replace=False)
+        yield picked.tolist(), [q for q in members if rng.random() < 0.3]
+
+
+def spy(fn, calls):
+    """``fn``, recording the arguments of each call in ``calls``."""
+    def wrapped(*args):
+        calls.append(args)
+        return fn(*args)
+    return wrapped
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_one_universe_against_two_candidate_sets(dim):
+    rng = np.random.default_rng(4600 + dim)
+    alphabet = make_alphabet(rng, dim, DEFAULT_TOL)
+    universe = StringUniverse(alphabet, 3)
+    rays = straddling_rays([alphabet], universe, rng)
+    half = len(rays) // 2
+    first, second = RaySet(rays[:half + 2], DEFAULT_TOL), RaySet(rays[half - 2:], DEFAULT_TOL)
+    for (picked, strings), candidates in zip(random_draws(rng, half, universe.members, 30),
+                                             [first, second] * 15):
+        xi = candidates.subset(picked)
+        assert_galois_matches_oracle(universe, candidates, xi, strings)
+        # the same subset against the other set: a set that is not a relative
+        other = second if candidates is first else first
+        assert_galois_matches_oracle(universe, other, xi, strings)
+    assert set(universe.incidence) == {first, second}
+
+
+def test_one_candidate_set_against_two_null_thresholds():
+    rng = np.random.default_rng(4700)
+    letters = {f"P{i}": random_projector(rng, 3) for i in range(3)}
+    policies = [TolerancePolicy(eps=1e-9, null_threshold=t) for t in (1e-9, 1e-6)]
+    alphabets = [ProjectorAlphabet(letters, tol) for tol in policies]
+    universes = [StringUniverse(alphabet, 3) for alphabet in alphabets]
+    candidates = RaySet(straddling_rays(alphabets, universes[0], rng), policies[0])
+    # each universe tells the rays straddling its own threshold apart
+    verdicts = [[polar_of_rays(candidates.subset([i]), u) for u in universes]
+                for i in range(len(candidates))]
+    assert any(a != b for a, b in verdicts)
+    for picked, strings in random_draws(rng, len(candidates), universes[0].members, 30):
+        xi = candidates.subset(picked)
+        for universe in universes + universes[::-1]:
+            kept = [q for q in strings if q in universe]
+            assert_galois_matches_oracle(universe, candidates, xi, kept)
+    assert [list(u.incidence) for u in universes] == [[candidates], [candidates]]
+
+
+def test_a_subset_of_a_subset_shares_the_root():
+    rng = np.random.default_rng(4800)
+    alphabet = make_alphabet(rng, 3, DEFAULT_TOL)
+    universe = StringUniverse(alphabet, 3)
+    candidates = RaySet(straddling_rays([alphabet], universe, rng), DEFAULT_TOL)
+    for picked, strings in random_draws(rng, len(candidates), universe.members, 20):
+        outer = candidates.subset(picked + [0, len(candidates) - 1])
+        inner = outer.subset(i for i in range(len(outer)) if rng.random() < 0.5)
+        root, rows = inner.lineage()
+        assert root is candidates
+        assert all(a is candidates.rays[i] for a, i in zip(inner.rays, rows.tolist()))
+        assert inner.rays == tuple(r for r in outer.rays if r in inner.rays)
+        for xi, cands in ((inner, candidates), (inner, outer), (outer, inner)):
+            assert_galois_matches_oracle(universe, cands, xi, strings)
+    assert list(universe.incidence) == [candidates]
+
+
+def test_a_set_of_the_same_vectors_that_is_not_a_relative_takes_the_fallback(monkeypatch):
+    rng = np.random.default_rng(4900)
+    alphabet = make_alphabet(rng, 2, DEFAULT_TOL)
+    universe = StringUniverse(alphabet, 3)
+    candidates = RaySet(straddling_rays([alphabet], universe, rng), DEFAULT_TOL)
+    calls = []
+    monkeypatch.setattr(context, "_same_rays", spy(context._same_rays, calls))
+    for picked, strings in random_draws(rng, len(candidates), universe.members, 20):
+        xi = candidates.subset(picked)
+        twin = RaySet._rows(xi.units.copy(), xi.tol)
+        before = len(calls)
+        assert twin.is_subset_of(candidates) and candidates.is_subset_of(candidates)
+        assert len(calls) == before + 1   # the twin's test only
+        assert_galois_matches_oracle(universe, candidates, twin, strings)
+        assert closure_rays(twin, universe, candidates).rays == closure_rays(
+            xi, universe, candidates).rays
+        assert polar_of_rays(twin, universe) == polar_of_rays(xi, universe)
+        assert (twin in universe.incidence) == bool(len(twin))   # an empty set needs none
+    # a root set's matrix goes with the set
+    del twin
+    assert list(universe.incidence) == [candidates]
+
+
+def test_empty_subsets_match_the_oracle():
+    rng = np.random.default_rng(5000)
+    alphabet = make_alphabet(rng, 2, DEFAULT_TOL)
+    universe = StringUniverse(alphabet, 3)
+    candidates = RaySet(straddling_rays([alphabet], universe, rng), DEFAULT_TOL)
+    empty = candidates.subset([])
+    for strings in ([], list(universe.members), [("P0",), ("P1", "P0")]):
+        assert_galois_matches_oracle(universe, candidates, empty, strings)
+        assert_galois_matches_oracle(universe, empty, empty, strings)
+    assert polar_of_rays(empty, universe) == universe.members
+    assert polar_of_strings(universe, universe.members, empty).rays == ()
+    # an empty set needs no relation, so its root's dimension is not checked
+    qutrits = RaySet(np.eye(3))
+    assert polar_of_rays(qutrits.subset([]), universe) == universe.members
+    assert polar_of_strings(universe, [("P0",)], qutrits.subset([])).rays == ()
+
+
+# ---------------------------------------------------------------------------
+# Subset tests by index, and the work of a draw
+
+
+def same_rays_answer(a: RaySet, b: RaySet) -> bool:
+    return bool(context._same_rays(b.units, a.units, b.tol).any(axis=0).all())
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from([2, 3, 4]), st.sampled_from([1e-9, 1e-3]))
+def test_subset_by_index_is_the_overlap_answer_on_relatives(seed, dim, eps):
+    rng = np.random.default_rng(seed)
+    tol = TolerancePolicy(eps=eps)
+    rays = []
+    for _ in range(int(rng.integers(1, 9))):
+        ray = Ray(random_state(rng, dim), tol)
+        if not any(ray.same_ray(r, tol) for r in rays):
+            rays.append(ray)
+    root = RaySet(rays, tol)
+
+    def relative(depth):
+        rs = root
+        for _ in range(depth):
+            rs = rs.subset(i for i in range(len(rs)) if rng.random() < 0.6)
+        return rs
+
+    sets = [relative(int(rng.integers(0, 3))) for _ in range(5)]
+    for a in sets:
+        for b in sets:
+            assert a.lineage()[0] is b.lineage()[0] is root
+            assert a.is_subset_of(b) == same_rays_answer(a, b)
+            assert a.is_subset_of(b) == oracle_is_subset(a.rays, b.rays, tol)
+
+
+def test_a_relative_outside_a_subset_of_candidates_is_refused():
+    tol = DEFAULT_TOL
+    alphabet = make_alphabet(np.random.default_rng(5100), 2, tol)
+    universe = StringUniverse(alphabet, 2)
+    root = RaySet([[1, 0], [0, 1], [1, 1], [1, -1]], tol)
+    candidates, outside = root.subset([0, 1, 2]), root.subset([1, 3])
+    for xi in (outside, RaySet([[1, -1]], tol)):
+        with pytest.raises(UsageError, match="^ray set must lie inside the candidate universe$"):
+            oracle_closure_rays(xi, universe, candidates)
+        with pytest.raises(UsageError, match="^ray set must lie inside the candidate universe$"):
+            closure_rays(xi, universe, candidates)
+    assert closure_rays(root.subset([1]), universe, candidates).rays == oracle_closure_rays(
+        root.subset([1]), universe, candidates)
+
+
+def test_twenty_draws_fill_the_incidence_once_and_test_subsets_by_index(monkeypatch):
+    rng = np.random.default_rng(5200)
+    alphabet = make_alphabet(rng, 4, DEFAULT_TOL)
+    universe = StringUniverse(alphabet, 3)
+    candidates = RaySet([random_state(rng, 4) for _ in range(24)])
+    filled, compared = [], []
+    monkeypatch.setattr(context, "_non_annihilation", spy(context._non_annihilation, filled))
+    monkeypatch.setattr(context, "_same_rays", spy(context._same_rays, compared))
+    members = universe.members
+    for _ in range(20):   # the draws of the strings benchmark workload
+        xi_idx = {int(i) for i in rng.integers(0, 24, size=4)}
+        xi, bigger = candidates.subset(xi_idx), candidates.subset(xi_idx | {int(rng.integers(0, 24))})
+        j = [q for q in members if rng.random() < 0.3]
+        r1 = polar_of_strings(universe, j, candidates)
+        r2 = polar_of_strings(universe, j + [members[int(rng.integers(0, len(members)))]],
+                              candidates)
+        assert set(polar_of_rays(bigger, universe)) <= set(polar_of_rays(xi, universe))
+        assert r2.is_subset_of(r1) and xi.is_subset_of(closure_rays(xi, universe, candidates))
+        assert set(j) <= set(polar_of_rays(r1, universe))
+        assert closure_rays(r1, universe, candidates).rays == r1.rays
+        assert is_full(r1, universe, candidates)
+    assert filled == [(universe, candidates)]
+    assert compared == []

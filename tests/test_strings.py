@@ -73,6 +73,24 @@ def test_enumerate_budget():
         list(ABC.enumerate_strings(-1))
 
 
+def test_enumerate_budget_refuses_deep_domains_before_counting():
+    # 2**22 > budget strings at any depth past 21 for two letters or more, and
+    # over budget letters in all past 1448 for one: the size is never computed
+    limit = DEFAULT_STRING_BUDGET.bit_length()
+    assert limit == 21
+    for depth in (limit + 1, 20_000, int(1e300)):
+        with pytest.raises(CapacityError, match=f"^strings longer than 21 letters exceed budget "
+                                                f"{DEFAULT_STRING_BUDGET}$"):
+            next(ABC.enumerate_strings(depth))
+    one = ProjStringMonoid(("P",))
+    assert len(list(one.enumerate_strings(1448))) == 1449
+    with pytest.raises(CapacityError, match="^strings longer than 1448 letters exceed budget"):
+        next(one.enumerate_strings(1449))
+    # at the limit itself two letters are counted: 2**22 - 1 strings
+    with pytest.raises(CapacityError, match="^4194303 strings exceed budget"):
+        next(ProjStringMonoid(("P", "Q")).enumerate_strings(limit))
+
+
 def ideal_of(monoid, keep, depth):
     """The ideal of the strings that ``keep`` accepts, given level by level."""
     def predicate(qs):
