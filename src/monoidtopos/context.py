@@ -4,10 +4,10 @@ and sieve-valued contextual truth.
 Polars are computed relative to explicit finite universes: a StringUniverse
 (all strings up to a length bound whose reduction is non-null) and a RaySet
 of candidate rays.  All Galois identities hold exactly for the restricted
-relation "the string does not annihilate the ray".  The universe decides
-"non-null" once per canonical word (no letter next to itself), level by
-level, and keeps its members' reductions, gathered from those rows, as one
-stack.  A RaySet is one (n, d) matrix of unit, phase-canonical
+relation "the string does not annihilate the ray".  The universe reads
+"non-null" off its alphabet's canonical words (no letter next to itself),
+decided once per alphabet, and keeps its members' reductions, gathered from
+those rows, as one stack.  A RaySet is one (n, d) matrix of unit, phase-canonical
 representatives (duplicates found in one Gram matrix); a subset records its
 root set and rows there, and shares the root's ``Ray`` objects, made when
 asked for.  The universe decides the relation, one boolean matrix on its
@@ -161,7 +161,7 @@ class StringUniverse:
         self.max_len = int(max_len)
         levels, stack = alphabet.levels(self.max_len)
         rows = np.concatenate([canon for _, canon in levels])
-        alive = np.linalg.norm(stack, 2, axis=(1, 2))[rows] > alphabet.tol.null_threshold
+        alive = alphabet.alive[rows]
         self.members = tuple(itertools.compress(
             itertools.chain.from_iterable(strings for strings, _ in levels), alive))
         self.reductions = stack[rows[alive]]

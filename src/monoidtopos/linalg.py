@@ -20,6 +20,9 @@ from .errors import (DomainError, MonoidToposError, NumericError, PreconditionEr
                      StructureError, ValidationError)
 
 MAX_DIM = 16
+# The least eps a ray comparison resolves: below it 1 - eps rounds to 1.0,
+# while a vector's overlap with itself can compute as 1 - 1 ulp.
+EPS_FLOOR = 1e-14
 
 
 @dataclass(frozen=True)
@@ -32,6 +35,8 @@ class TolerancePolicy:
             raise ValidationError("tolerances must be positive")
         if not (math.isfinite(self.eps) and math.isfinite(self.null_threshold)):
             raise ValidationError("tolerances must be finite")
+        if self.eps < EPS_FLOOR:
+            raise ValidationError(f"eps must be at least {EPS_FLOOR:g}")
 
 
 DEFAULT_TOL = TolerancePolicy()
@@ -375,6 +380,23 @@ def operator_norm(a: np.ndarray) -> float:
         return float(np.linalg.norm(np.asarray(a, dtype=complex), 2))
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"operator norm failed: {exc}") from exc
+
+
+def non_null(matrices: np.ndarray, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
+    """Entry n is True iff the largest singular value of matrices[n] exceeds
+    the null threshold t.  As ||A||_2 <= ||A||_F <= sqrt(d)·||A||_2, a
+    Frobenius norm above sqrt(d)·t·(1+1e-6) is alive and one at or below
+    t·(1-1e-6) is null; only the matrices between take an SVD."""
+    t, d = tol.null_threshold, min(matrices.shape[1:])
+    fro = np.linalg.norm(matrices, axis=(1, 2))
+    alive = fro > math.sqrt(d) * t * (1 + 1e-6)
+    band = ~alive & (fro > t * (1 - 1e-6))
+    if band.any():
+        try:
+            alive[band] = np.linalg.norm(matrices[band], 2, axis=(1, 2)) > t
+        except np.linalg.LinAlgError as exc:
+            raise NumericError(f"operator norm failed: {exc}") from exc
+    return alive
 
 
 class Ray:

@@ -11,11 +11,11 @@ stack of reductions, giving one boolean per string:
 ``in_reduced_eigenspace`` (the reduced state lies in the reduced
 eigenspace of a proposition) and ``rays_agree`` (two reduced states can no
 longer be told apart).  The domains of strings only build the stack: here
-the canonical rows of the free monoid, built one level at a time, each
-string reading its row's answer through one gather, in ``context`` the
-polar of a ray set and the tails of one context string.  States enter
-through their unit representative, so every valuation depends only on the
-ray.
+the canonical rows of the free monoid, built once per alphabet one level at
+a time and sliced by depth, each string reading its row's answer through
+one gather, in ``context`` the polar of a ray set and the tails of one
+context string.  States enter through their unit representative, so every
+valuation depends only on the ray.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import MissingNameError, MonoidToposError, UsageError, ValidationError
 from .linalg import (DEFAULT_TOL, Eigh, HermitianOperator, Projector, Ray, Subspace,
-                     TolerancePolicy, ZERO_RAY, RayOrZero, as_matrix, as_vector,
+                     TolerancePolicy, ZERO_RAY, RayOrZero, as_matrix, as_vector, non_null,
                      orthonormalize, raise_first)
 from .strings import BoundedIdeal, Letters, ProjStringMonoid, bounded_ideal
 
@@ -36,7 +36,12 @@ DEFAULT_DEPTH = 4
 
 class ProjectorAlphabet:
     """Named orthogonal projectors usable as string letters; a letter given
-    as a ``Projector`` is taken as it is, any other matrix is validated."""
+    as a ``Projector`` is taken as it is, the other matrices are validated
+    by one eigensolve.  ``letters`` stacks them read-only, in order.
+
+    The canonical rows of ``levels`` are built once: a deeper depth extends
+    the levels already built, a shallower one reads a prefix, and ``alive``
+    marks each row built so far whose reduction is non-null (``non_null``)."""
 
     def __init__(self, matrices: dict[str, object] | Sequence[tuple[str, object]],
                  tol: TolerancePolicy = DEFAULT_TOL):
@@ -45,13 +50,15 @@ class ProjectorAlphabet:
             raise UsageError("alphabet needs at least one letter")
         self.tol = tol
         self.monoid = ProjStringMonoid(tuple(name for name, _ in items))
-        self.matrices: dict[str, np.ndarray] = {}
-        for name, matrix in items:
-            a = (matrix if isinstance(matrix, Projector) else Projector(matrix, tol)).matrix
-            if self.matrices and a.shape[0] != self.dim:
-                raise ValidationError("letters must share one dimension")
-            self.dim = a.shape[0]
-            self.matrices[str(name)] = a
+        self.letters = _frozen(_letter_matrices([matrix for _, matrix in items], tol))
+        self.dim = self.letters.shape[1]
+        self.matrices: dict[str, np.ndarray] = dict(zip(self.monoid.alphabet, self.letters))
+        # Level 0, the identity; _left and _first (per row of the last level) continue it.
+        self._stack = _frozen(np.eye(self.dim, dtype=complex)[None])
+        self.alive = _frozen(non_null(self._stack, tol))
+        self._canons, self._ends = [_frozen(np.zeros(1, dtype=np.intp))], [1]
+        self._left = np.empty((len(self.letters), 0), dtype=np.intp)
+        self._first = np.array([-1])
 
     def matrix(self, name: str) -> np.ndarray:
         try:
@@ -73,24 +80,72 @@ class ProjectorAlphabet:
         the returned stack of canonical words (no letter next to itself).  Row
         0 is the identity; level k+1 adds P_a @ R(c) for each canonical c of
         length k not starting with a.  ``left[a, c]`` is the row of a·c (c when
-        c starts with a), so (a,) + q has row left[a, canon(q)]."""
-        letters = np.array(list(self.matrices.values()))
-        width, fresh, first = len(letters), np.eye(self.dim, dtype=complex)[None], np.array([-1])
-        left, canon = np.empty((width, 0), dtype=np.intp), np.zeros(1, dtype=np.intp)
-        levels, stacks = [], [fresh]
-        for k, strings in enumerate(self.monoid.levels(depth)):
-            if k:
-                start, n = left.shape[1], len(first)
-                new = first != np.arange(width)[:, None]
-                a, c = new.nonzero()
-                cols = np.tile(np.arange(start, start + n), (width, 1))
-                cols[new] = np.arange(start + n, start + n + len(a))
-                left = np.hstack([left, cols])
-                canon = left[:, canon].reshape(-1)
-                fresh, first = letters[a] @ fresh[c], a
-                stacks.append(fresh)
-            levels.append((strings, canon))
-        return levels, np.concatenate(stacks)
+        c starts with a), so (a,) + q has row left[a, canon(q)].  The canons and
+        the stack are read-only views of the rows built once."""
+        strings = list(self.monoid.levels(depth))   # a domain over budget builds nothing
+        if depth >= len(self._canons):
+            self._grow(depth)
+        return list(zip(strings, self._canons)), self._stack[:self._ends[depth]]
+
+    def _grow(self, depth: int):
+        """Build the levels after the deepest one built, up to ``depth``."""
+        width, left, first = len(self.letters), self._left, self._first
+        fresh = self._stack[len(self._stack) - len(first):]
+        canons, ends, blocks = [self._canons[-1]], [self._ends[-1]], []
+        for _ in range(len(self._canons), depth + 1):
+            start, n = left.shape[1], len(first)
+            new = first != np.arange(width)[:, None]
+            a, c = new.nonzero()
+            cols = np.tile(np.arange(start, start + n), (width, 1))
+            cols[new] = np.arange(start + n, start + n + len(a))
+            left = np.hstack([left, cols])
+            canons.append(_frozen(left[:, canons[-1]].reshape(-1)))
+            fresh, first = self.letters[a] @ fresh[c], a
+            blocks.append(fresh)
+            ends.append(ends[-1] + len(a))
+        rows = np.concatenate(blocks)
+        self.alive = _frozen(np.concatenate([self.alive, non_null(rows, self.tol)]))
+        self._stack = _frozen(np.concatenate([self._stack, rows]))
+        self._canons += canons[1:]
+        self._ends += ends[1:]
+        self._left, self._first = left, first
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+def _letter_matrices(given: list, tol: TolerancePolicy) -> np.ndarray:
+    """The letters' matrices, those not given as a ``Projector`` validated by
+    one ``Eigh``; the first letter's error is raised, its own before a
+    dimension differing from the first letter's."""
+    mats = []
+    for matrix in given:
+        try:
+            mats.append(matrix.matrix if isinstance(matrix, Projector) else as_matrix(matrix))
+        except MonoidToposError as exc:
+            mats.append(exc)
+    if isinstance(mats[0], MonoidToposError):
+        raise mats[0]
+    dim = mats[0].shape[0]
+    solve = [i for i, (a, matrix) in enumerate(zip(mats, given))
+             if not isinstance(matrix, Projector) and not isinstance(a, MonoidToposError)
+             and a.shape[0] == dim]
+    solved = dict(zip(solve, Eigh(np.array([mats[i] for i in solve]), tol, raw=True).projectors()
+                      if solve else []))
+    out = []
+    for i, (a, matrix) in enumerate(zip(mats, given)):
+        if isinstance(a, MonoidToposError):
+            raise a
+        if i in solved:
+            a = raise_first([solved[i]])[0].matrix
+        elif not isinstance(matrix, Projector):
+            Projector(a, tol)   # another dimension: the letter's own error comes first
+        if a.shape[0] != dim:
+            raise ValidationError("letters must share one dimension")
+        out.append(a)
+    return np.array(out)
 
 
 class DensityMatrix:

@@ -420,6 +420,16 @@ def test_cli_invalid_tolerance_flag_is_an_error_report(capsys, flag, value):
     assert capsys.readouterr().err == ""
 
 
+@pytest.mark.parametrize("value", ["1e-300", "9e-15"])
+def test_cli_tolerance_flag_below_the_eps_floor_is_an_error_report(capsys, value):
+    code, out = run_cli(RUNS["valuate_quantum"] + ["--tol", value])
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["status"] == "error"
+    assert payload["diagnostics"][0]["message"] == "eps must be at least 1e-14"
+    assert capsys.readouterr().err == ""
+
+
 def test_cli_invalid_tolerance_flag_in_selftest_is_an_error_report(capsys):
     code, out = run_cli(["selftest", "--tol", "0"])
     assert code == 1
@@ -493,6 +503,8 @@ def test_cli_query_entry_cannot_change_the_tolerance(tmp_path):
      {"line": 22, "col": 23, "message": "element count must be an integer"}),
     ("tolerance { null 1e400; }",
      {"line": 22, "col": 1, "message": "tolerances must be finite"}),
+    ("tolerance { eps 1e-300; }",
+     {"line": 22, "col": 1, "message": "eps must be at least 1e-14"}),
     ("quantum Bad { dim 0; values {0,1}; }",
      {"line": 22, "col": 1, "message": "dimension must be positive, got 0"}),
     ("quantum Bad { dim -1; values {0,1}; }",

@@ -8,7 +8,7 @@ from monoidtopos.context import (Arrow, RaySet, Sieve, StringUniverse, arrows_ou
                                  reducible, sieve_truth_equal, sieve_valuation)
 from monoidtopos.errors import (ContextError, PreconditionError, UsageError,
                                 ValidationError)
-from monoidtopos.linalg import Ray, hermitian_eig, ray_equal
+from monoidtopos.linalg import EPS_FLOOR, Ray, TolerancePolicy, ray_equal
 from monoidtopos.reduction import ProjectorAlphabet
 from tests.conftest import E1, E2, PLUS, PMINUS, PPLUS, PZ, SZ
 from tests.generators import random_projector, random_state
@@ -44,6 +44,17 @@ def test_universe_filters_null_strings(orth_alphabet):
 def test_rayset_rejects_duplicates():
     with pytest.raises(ValidationError):
         RaySet([E1, 1j * E1])
+
+
+def test_a_ray_is_its_own_at_the_eps_floor():
+    # Below the floor, 1 - eps rounds to 1.0 and a vector's overlap with itself
+    # can compute as 1 - 1 ulp; at the floor each of these vectors is found.
+    tol = TolerancePolicy(eps=EPS_FLOOR)
+    rng = np.random.default_rng(8100)
+    for i in range(1000):
+        v = random_state(rng, 2 + i % 15) * rng.uniform(0.1, 10.0)
+        assert RaySet([v], tol).contains(v)
+        assert ray_equal(v, v, tol)
 
 
 def test_polar_of_rays_single_letter():

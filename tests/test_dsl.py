@@ -210,6 +210,7 @@ def test_malformed_numbers_are_diagnostics(src, expected):
      "value set entries must be finite"),
     ("classical C { values {0,-1e400}; states (s); }", "value set entries must be finite"),
     ("tolerance { eps 1e400; }", "tolerances must be finite"),
+    ("tolerance { eps 1e-300; }", "eps must be at least 1e-14"),
     ("quantum Q { dim 2; operator A { matrix [[1,0],[0]]; } }",
      "expected a square matrix, got rows of different lengths"),
     ("quantum Q { dim 2; density r [[1,0],[0]]; }",

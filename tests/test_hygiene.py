@@ -1,6 +1,7 @@
 """Static checks on the package source: no module imports a name it never
-uses, no module imports a private (underscore) name of a sibling, and no
-module reads a private attribute of another module's objects."""
+uses, no module imports a private (underscore) name of a sibling, no
+module reads a private attribute of another module's objects, and no module
+but ``linalg`` takes a matrix 2-norm or an SVD."""
 
 import ast
 from pathlib import Path
@@ -85,3 +86,46 @@ def test_detector_finds_foreign_private_reads():
 @pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
 def test_module_reads_no_private_attribute_it_does_not_define(path):
     assert foreign_private_reads(path.read_text(encoding="utf-8")) == []
+
+
+SVD_CALLS = {"svd", "svdvals", "matrix_rank", "pinv", "cond"}
+NORM_CALLS = {"norm", "matrix_norm"}
+
+
+def svd_calls(source: str) -> list[str]:
+    """Calls that take an SVD: an SVD-based routine by name, or a ``norm`` of
+    order 2, -2 or "nuc" (positional or ``ord=``), as ``name:line``."""
+    def order(node):
+        if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+            value = order(node.operand)
+            return -value if isinstance(value, int) else None
+        return node.value if isinstance(node, ast.Constant) else None
+
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        f = node.func
+        name = f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
+        orders = node.args[1:2] + [k.value for k in node.keywords if k.arg == "ord"]
+        if name in SVD_CALLS or (name in NORM_CALLS
+                                 and any(order(o) in (2, -2, "nuc") for o in orders)):
+            found.append(f"{name}:{node.lineno}")
+    return found
+
+
+def test_detector_finds_svd_calls():
+    source = ("import numpy as np\nfrom numpy.linalg import svd, norm\n"
+              "a = np.linalg.norm(x, 2, axis=(1, 2))\nb = norm(x, ord=-2)\n"
+              "c = np.linalg.svd(x, compute_uv=False)\nd = svd(x)\n"
+              "e = np.linalg.matrix_norm(x, ord='nuc')\nf = np.linalg.matrix_rank(x)\n"
+              "g = np.linalg.norm(x)\nh = np.linalg.norm(x, axis=1)\n"
+              "i = np.linalg.norm(x, 'fro')\nj = np.linalg.norm(x, ord=1)\n")
+    assert svd_calls(source) == ["norm:3", "norm:4", "svd:5", "svd:6", "matrix_norm:7",
+                                 "matrix_rank:8"]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.stem != "linalg"],
+                         ids=[p.stem for p in MODULES if p.stem != "linalg"])
+def test_only_linalg_takes_a_matrix_two_norm_or_an_svd(path):
+    assert svd_calls(path.read_text(encoding="utf-8")) == []

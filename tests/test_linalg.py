@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from monoidtopos.errors import (DomainError, NumericError, PreconditionError,
                                 StructureError, ValidationError)
 from monoidtopos.linalg import (DEFAULT_TOL, Projector, Ray, Subspace,
-                                TolerancePolicy, ZERO_RAY, apply_function,
+                                EPS_FLOOR, TolerancePolicy, ZERO_RAY, apply_function,
                                 as_matrix, hermitian_eig, operator_norm,
                                 orthonormalize, ray_equal, spectral_projector)
 from tests.conftest import E1, E2, PLUS, PPLUS, PZ, SX, SZ
@@ -21,6 +21,14 @@ def test_tolerance_policy_positive():
         TolerancePolicy(null_threshold=-1.0)
     with pytest.raises(ValidationError, match="finite"):
         TolerancePolicy(eps=float("inf"))
+
+
+def test_tolerance_policy_eps_floor():
+    with pytest.raises(ValidationError, match="eps must be at least 1e-14"):
+        TolerancePolicy(eps=1e-300)
+    with pytest.raises(ValidationError, match="eps must be at least 1e-14"):
+        TolerancePolicy(eps=np.nextafter(EPS_FLOOR, 0.0))
+    assert TolerancePolicy(eps=EPS_FLOOR, null_threshold=1e-300).eps == EPS_FLOOR
 
 
 def test_as_matrix_validation():
