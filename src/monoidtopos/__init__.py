@@ -7,7 +7,7 @@ from .errors import (CapacityError, ContextError, DomainError, MissingNameError,
 from .monoid import (FiniteMonoid, LeftIdeal, enumerate_left_ideals, heyting_implies,
                      heyting_not, heyting_report, ideal_action, map_monoid,
                      submonoid_closure, verify_associativity)
-from .strings import BoundedIdeal, ProjStringMonoid, bounded_ideal
+from .strings import BoundedIdeal, ProjStringMonoid
 from .mset import (KFamily, MSet, characteristic_arrow, equivariant_maps_to_ideals,
                    family_from_subset, family_to_lambda, invariant_subsets,
                    is_invariant, lambda_to_family, left_regular, product_mset,

@@ -24,7 +24,6 @@ from the right.
 
 from __future__ import annotations
 
-import itertools
 import weakref
 from dataclasses import dataclass
 from functools import cached_property
@@ -154,19 +153,25 @@ def in_sp0(alphabet: ProjectorAlphabet, letters: Sequence[str]) -> bool:
 
 
 class StringUniverse:
-    """All strings up to a length bound with non-null reduction, and their reductions."""
+    """All strings up to a length bound with non-null reduction, and their reductions.
+
+    A string is a member when its canonical row is alive in the alphabet;
+    ``reductions`` stacks the members' rows and ``len`` counts them.
+    ``members`` decodes the strings once, on first read, in enumeration
+    order."""
 
     def __init__(self, alphabet: ProjectorAlphabet, max_len: int):
         self.alphabet = alphabet
         self.max_len = int(max_len)
-        levels, stack = alphabet.levels(self.max_len)
-        rows = np.concatenate([canon for _, canon in levels])
-        alive = alphabet.alive[rows]
-        self.members = tuple(itertools.compress(
-            itertools.chain.from_iterable(strings for strings, _ in levels), alive))
-        self.reductions = stack[rows[alive]]
+        self._canons, stack, _ = alphabet.levels(self.max_len)
+        self._alive = alphabet.alive
+        self.reductions = stack[np.concatenate([c[self._alive[c]] for c in self._canons])]
         # the relation's matrix by root ray set (see _incidence), dropped with the set
         self.incidence = weakref.WeakKeyDictionary()
+
+    @cached_property
+    def members(self) -> tuple[Letters, ...]:
+        return self.alphabet.monoid.decode(self._canons, self._alive)
 
     @cached_property
     def _rows(self) -> dict[Letters, int]:
@@ -177,7 +182,7 @@ class StringUniverse:
         return self.alphabet.tol
 
     def __len__(self):
-        return len(self.members)
+        return len(self.reductions)
 
     def __contains__(self, q) -> bool:
         return tuple(q) in self._rows

@@ -7,15 +7,18 @@ left-multiplication that the ideal property quantifies over.  Letters are
 exact projectors, so a string reduces as its canonical word (P·P = P).
 
 Every string valuation is one of two predicates evaluated on an (N, d, d)
-stack of reductions, giving one boolean per string:
-``in_reduced_eigenspace`` (the reduced state lies in the reduced
-eigenspace of a proposition) and ``rays_agree`` (two reduced states can no
-longer be told apart).  The domains of strings only build the stack: here
-the canonical rows of the free monoid, built once per alphabet one level at
-a time and sliced by depth, each string reading its row's answer through
-one gather, in ``context`` the polar of a ray set and the tails of one
-context string.  States enter through their unit representative, so every
-valuation depends only on the ray.
+stack of reductions, giving one boolean per row: ``in_reduced_eigenspace``
+(the reduced state lies in the reduced eigenspace of a proposition) and
+``rays_agree`` (two reduced states can no longer be told apart).  Each
+multiplies the stack by its shared operands (target basis, state, ρ) as
+one 2-D product over the stack's (N·d, d) rows.  The domains of strings
+only build the stack: here the canonical rows of the free monoid, built
+once per alphabet one level at a time and sliced by depth, in ``context``
+the polar of a ray set and the tails of one context string.  A valuation
+decides each canonical row once and keeps that boolean per row; strings
+read it through their level's ``canon`` array, and no string is made until
+a report reads the members.  States enter through their unit
+representative, so every valuation depends only on the ray.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from .errors import MissingNameError, MonoidToposError, UsageError, ValidationEr
 from .linalg import (DEFAULT_TOL, Eigh, HermitianOperator, Projector, Ray, Subspace,
                      TolerancePolicy, ZERO_RAY, RayOrZero, as_matrix, as_vector, non_null,
                      orthonormalize, raise_first)
-from .strings import BoundedIdeal, Letters, ProjStringMonoid, bounded_ideal
+from .strings import BoundedIdeal, ProjStringMonoid, bounded_ideal
 
 DEFAULT_DEPTH = 4
 
@@ -41,7 +44,8 @@ class ProjectorAlphabet:
 
     The canonical rows of ``levels`` are built once: a deeper depth extends
     the levels already built, a shallower one reads a prefix, and ``alive``
-    marks each row built so far whose reduction is non-null (``non_null``)."""
+    marks each row built so far whose reduction is non-null (``non_null``)
+    and whose row without its leftmost letter is alive, so a null row absorbs."""
 
     def __init__(self, matrices: dict[str, object] | Sequence[tuple[str, object]],
                  tol: TolerancePolicy = DEFAULT_TOL):
@@ -57,7 +61,7 @@ class ProjectorAlphabet:
         self._stack = _frozen(np.eye(self.dim, dtype=complex)[None])
         self.alive = _frozen(non_null(self._stack, tol))
         self._canons, self._ends = [_frozen(np.zeros(1, dtype=np.intp))], [1]
-        self._left = np.empty((len(self.letters), 0), dtype=np.intp)
+        self._left = _frozen(np.empty((len(self.letters), 0), dtype=np.intp))
         self._first = np.array([-1])
 
     def matrix(self, name: str) -> np.ndarray:
@@ -75,23 +79,26 @@ class ProjectorAlphabet:
             result = self.matrix(name) @ result
         return result
 
-    def levels(self, depth: int) -> tuple[list[tuple[list[Letters], np.ndarray]], np.ndarray]:
-        """Per length k <= depth the strings and ``canon``, each string's row in
-        the returned stack of canonical words (no letter next to itself).  Row
-        0 is the identity; level k+1 adds P_a @ R(c) for each canonical c of
-        length k not starting with a.  ``left[a, c]`` is the row of a·c (c when
-        c starts with a), so (a,) + q has row left[a, canon(q)].  The canons and
-        the stack are read-only views of the rows built once."""
-        strings = list(self.monoid.levels(depth))   # a domain over budget builds nothing
+    def levels(self, depth: int) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
+        """``(canons, stack, left)``: the strings up to ``depth`` as rows of a
+        stack of canonical words (no letter next to itself).  ``canons[k]`` is
+        the row of each string of length k, in enumeration order; row 0 is the
+        identity, and level k+1 adds P_a @ R(c) for each canonical c of length
+        k not starting with a.  ``left[a, c]`` is the row of a·c (c when c
+        starts with a) for each row c of a string shorter than ``depth``, so
+        (a,) + q has row left[a, canon(q)].  All three are read-only views of
+        the rows built once; a domain over the string budget builds nothing."""
+        self.monoid.check_depth(depth)
         if depth >= len(self._canons):
             self._grow(depth)
-        return list(zip(strings, self._canons)), self._stack[:self._ends[depth]]
+        return (self._canons[:depth + 1], self._stack[:self._ends[depth]],
+                self._left[:, :self._ends[depth - 1] if depth else 0])
 
     def _grow(self, depth: int):
         """Build the levels after the deepest one built, up to ``depth``."""
         width, left, first = len(self.letters), self._left, self._first
         fresh = self._stack[len(self._stack) - len(first):]
-        canons, ends, blocks = [self._canons[-1]], [self._ends[-1]], []
+        canons, ends, blocks, parents = [self._canons[-1]], [self._ends[-1]], [], []
         for _ in range(len(self._canons), depth + 1):
             start, n = left.shape[1], len(first)
             new = first != np.arange(width)[:, None]
@@ -102,13 +109,17 @@ class ProjectorAlphabet:
             canons.append(_frozen(left[:, canons[-1]].reshape(-1)))
             fresh, first = self.letters[a] @ fresh[c], a
             blocks.append(fresh)
+            parents.append(start + c)
             ends.append(ends[-1] + len(a))
         rows = np.concatenate(blocks)
-        self.alive = _frozen(np.concatenate([self.alive, non_null(rows, self.tol)]))
+        alive = np.concatenate([self.alive, non_null(rows, self.tol)])
+        for lo, hi, parent in zip(ends, ends[1:], parents):
+            alive[lo:hi] &= alive[parent]   # ||P·A|| <= ||A||: a null row absorbs
+        self.alive = _frozen(alive)
         self._stack = _frozen(np.concatenate([self._stack, rows]))
         self._canons += canons[1:]
         self._ends += ends[1:]
-        self._left, self._first = left, first
+        self._left, self._first = _frozen(left), first
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -215,17 +226,23 @@ def in_reduced_eigenspace(reductions: np.ndarray, state: np.ndarray, target: Sub
     that convention makes the ideal property a theorem.  A density matrix
     state is inside when the reduced state's trace is all kept by the
     image, so annihilated strings qualify without normalisation.
+
+    The target basis, the state and ρ are shared by every reduction, so each
+    multiplies the stack as one 2-D product over its (N·d, d) rows.
     """
-    thr = tol.null_threshold
-    images = orthonormalize(reductions @ target.basis, thr)
+    thr, (n, d, _) = tol.null_threshold, reductions.shape
+    rows = reductions.reshape(n * d, d)
+    images = orthonormalize((rows @ target.basis).reshape(n, d, target.dim), thr)
     if state.ndim == 2:
-        reduced = reductions @ state @ reductions.conj().transpose(0, 2, 1)
-        total = np.trace(reduced, axis1=1, axis2=2).real
-        kept = np.einsum("nik,nij,njk->n", images.conj(), reduced, images).real
+        # tr(RρR†) = sum of (Rρ) ∘ conj(R); the image keeps tr(W†ρW), W = R†·images
+        total = ((rows @ state).reshape(n, d, d) * reductions.conj()).real.sum(axis=(1, 2))
+        w = reductions.conj().transpose(0, 2, 1) @ images
+        cols = w.transpose(1, 0, 2).reshape(d, -1)
+        kept = (cols.conj() * (state @ cols)).real.reshape(d, n, target.dim).sum(axis=(0, 2))
         return np.abs(total - kept) <= thr * np.maximum(total, 1.0)
-    w = reductions @ state
+    w = (rows @ state).reshape(n, d)
     norm = np.linalg.norm(w, axis=1)
-    residual = w - (images @ (images.conj().transpose(0, 2, 1) @ w[..., None]))[..., 0]
+    residual = w - np.einsum("ndk,nk->nd", images, np.einsum("ndk,nd->nk", images.conj(), w))
     inside = np.linalg.norm(residual, axis=1) <= thr * np.maximum(norm, 1.0)
     if projective:
         rank_drop = ~images.any(axis=1).all(axis=1)
@@ -237,8 +254,11 @@ def rays_agree(reductions: np.ndarray, psi: np.ndarray, phi: np.ndarray,
                tol: TolerancePolicy) -> np.ndarray:
     """Entry n is True iff reductions[n] leaves the two states
     indistinguishable: both images null, or both non-null with normalised
-    overlap at least 1 - eps, as in ``ray_equal``."""
-    a, b = reductions @ psi, reductions @ phi
+    overlap at least 1 - eps, as in ``ray_equal``.  Each state is reduced
+    by one 2-D product over the stack's (N·d, d) rows."""
+    n, d, _ = reductions.shape
+    rows = reductions.reshape(n * d, d)
+    a, b = (rows @ psi).reshape(n, d), (rows @ phi).reshape(n, d)
     na, nb = np.linalg.norm(a, axis=1), np.linalg.norm(b, axis=1)
     alive_a, alive_b = na > tol.null_threshold, nb > tol.null_threshold
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -248,13 +268,13 @@ def rays_agree(reductions: np.ndarray, psi: np.ndarray, phi: np.ndarray,
 
 def _ideal(alphabet: ProjectorAlphabet, keep: Callable[[np.ndarray], np.ndarray],
            depth: int) -> BoundedIdeal:
-    """The strings whose reductions ``keep`` accepts, certified level by level;
-    ``keep`` sees each canonical row once, and each string reads its row's answer."""
-    levels, stack = alphabet.levels(depth)
-    kept = keep(stack)
+    """The strings whose reductions ``keep`` accepts, certified to the depth;
+    ``keep`` decides each canonical row once, and the ideal keeps that
+    boolean per row."""
+    canons, stack, left = alphabet.levels(depth)
     return bounded_ideal(
         alphabet.monoid, lambda strings: keep(np.array([alphabet.reduce(q) for q in strings])),
-        ((strings, kept[canon]) for strings, canon in levels))
+        canons, keep(stack), left)
 
 
 def _eigenspace_ideal(alphabet: ProjectorAlphabet, state: np.ndarray, op: HermitianOperator,

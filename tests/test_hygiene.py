@@ -1,7 +1,8 @@
 """Static checks on the package source: no module imports a name it never
 uses, no module imports a private (underscore) name of a sibling, no
-module reads a private attribute of another module's objects, and no module
-but ``linalg`` takes a matrix 2-norm or an SVD."""
+module reads a private attribute of another module's objects, no module
+but ``linalg`` takes a matrix 2-norm or an SVD, and the valuation modules
+(``reduction``, ``context``) build no level of strings as tuples."""
 
 import ast
 from pathlib import Path
@@ -129,3 +130,46 @@ def test_detector_finds_svd_calls():
                          ids=[p.stem for p in MODULES if p.stem != "linalg"])
 def test_only_linalg_takes_a_matrix_two_norm_or_an_svd(path):
     assert svd_calls(path.read_text(encoding="utf-8")) == []
+
+
+def tuple_level_calls(source: str) -> list[str]:
+    """Calls that build strings as tuples, level by level: ``itertools.product``
+    (under any name it is imported as) and the ``levels`` or
+    ``enumerate_strings`` of a monoid (a receiver whose name ends in
+    "monoid"), as ``name:line``."""
+    tree = ast.parse(source)
+    modules, products = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules.update(a.asname or a.name for a in node.names if a.name == "itertools")
+        elif isinstance(node, ast.ImportFrom) and node.module == "itertools":
+            products.update(a.asname or a.name for a in node.names if a.name == "product")
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        f = node.func
+        if isinstance(f, ast.Name) and f.id in products:
+            found.append(f"product:{node.lineno}")
+        elif isinstance(f, ast.Attribute):
+            owner = (f.value.attr if isinstance(f.value, ast.Attribute)
+                     else getattr(f.value, "id", ""))
+            if (f.attr == "product" and owner in modules) or (
+                    f.attr in ("levels", "enumerate_strings") and owner.lower().endswith("monoid")):
+                found.append(f"{f.attr}:{node.lineno}")
+    return found
+
+
+def test_detector_finds_tuple_level_calls():
+    source = ("import itertools\nimport itertools as it\nfrom itertools import product as p\n"
+              "a = itertools.product('PQ', repeat=2)\nb = it.product('PQ')\nc = p('PQ')\n"
+              "d = alphabet.monoid.levels(3)\ne = monoid.enumerate_strings(3)\n"
+              "f = ProjStringMonoid.levels(m, 3)\ng = alphabet.levels(3)\n"
+              "h = np.product(x)\ni = itertools.chain(x)\nj = self.monoid.decode(c, k)\n")
+    assert tuple_level_calls(source) == ["product:4", "product:5", "product:6", "levels:7",
+                                         "enumerate_strings:8", "levels:9"]
+
+
+@pytest.mark.parametrize("module", ["reduction", "context"])
+def test_valuation_modules_build_no_tuple_levels(module):
+    assert tuple_level_calls((SRC / f"{module}.py").read_text(encoding="utf-8")) == []

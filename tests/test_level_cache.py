@@ -6,15 +6,20 @@ depth extends the levels built, a shallower one returns read-only prefix
 views.  ``linalg.non_null`` decides most matrices by their Frobenius norm
 and takes an SVD only between its bounds; it must give the all-SVD answer
 everywhere, also where the Frobenius norm is above the null threshold and
-the largest singular value is not.  The references are a fresh alphabet,
-the per-letter ``Projector`` loop and ``in_sp0`` (one SVD per string).
+the largest singular value is not.  A null row absorbs: a row is alive
+only when its row without the leftmost letter is.  The references are a
+fresh alphabet, the per-letter ``Projector`` loop and ``in_sp0`` (one SVD
+per string).
 """
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import tests.valuation_oracle as oracle
 from monoidtopos import context, reduction
 from monoidtopos.errors import (CapacityError, MonoidToposError, NumericError,
                                 PreconditionError, ValidationError)
@@ -124,12 +129,12 @@ def test_letter_arrays_are_read_only():
 
 
 def assert_levels_equal(got, expected, depth):
-    (levels, stack), (fresh_levels, fresh_stack) = got, expected
-    assert len(levels) == len(fresh_levels) == depth + 1
-    for (strings, canon), (fresh_strings, fresh_canon) in zip(levels, fresh_levels):
-        assert strings == fresh_strings
+    (canons, stack, left), (fresh_canons, fresh_stack, fresh_left) = got, expected
+    assert len(canons) == len(fresh_canons) == depth + 1
+    for canon, fresh_canon in zip(canons, fresh_canons):
         assert np.array_equal(canon, fresh_canon)
     assert np.array_equal(stack, fresh_stack)
+    assert np.array_equal(left, fresh_left)
 
 
 @pytest.mark.parametrize("depths", [(7, 6, 3), (3, 7), (0,), (2, 2, 5, 0)])
@@ -149,8 +154,8 @@ def test_any_depth_order_gives_a_fresh_alphabets_levels(dim, depths):
 def test_returned_arrays_are_read_only():
     alphabet = ProjectorAlphabet(seeded_letters(7500, 3))
     for depth in (4, 2):
-        levels, stack = alphabet.levels(depth)
-        arrays = [stack, alphabet.alive] + [canon for _, canon in levels]
+        canons, stack, left = alphabet.levels(depth)
+        arrays = [stack, left, alphabet.alive] + canons
         assert not any(a.flags.writeable for a in arrays)
 
 
@@ -313,3 +318,36 @@ def test_a_universe_in_the_band_keeps_the_all_svd_members(monkeypatch, dim, tol,
                 if context.in_sp0(alphabet, q)]
     assert list(universe.members) == expected
     assert (("P", "Q") in universe) == (("Q", "P") in universe) == (scale > 1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from([2, 3, 4]),
+       st.sampled_from(range(len(POLICIES))), st.sampled_from([-1, 1]))
+def test_a_null_row_absorbs(seed, dim, policy, side):
+    # PQ and QP have singular values null_threshold * (1 + side * 1e-6): a row
+    # is alive only when its row without the leftmost letter is, so the
+    # universe is closed under dropping the leftmost letter
+    tol = POLICIES[policy]
+    alphabet = band_alphabet(np.random.default_rng(seed), dim, tol,
+                             tol.null_threshold * (1 + side * 1e-6))
+    universe = context.StringUniverse(alphabet, 5)
+    _, _, left = alphabet.levels(5)
+    alive = alphabet.alive
+    assert not (alive[left] & ~alive[:left.shape[1]]).any()
+    members = set(universe.members)
+    assert all(q[1:] in members for q in members if q)
+    assert (("P", "Q") in members) == (side > 0)
+
+
+def test_a_row_whose_parent_is_null_is_null(monkeypatch):
+    # non_null calls only the row of P0·P1 null: every row of a string whose
+    # canonical word ends in P0·P1 has it as an ancestor and is null too
+    alphabet = ProjectorAlphabet(seeded_letters(7950, 3))
+    pq, decide = alphabet.reduce(("P0", "P1")), reduction.non_null
+    monkeypatch.setattr(reduction, "non_null", lambda matrices, tol: decide(matrices, tol) & ~(
+        matrices == pq).all(axis=(1, 2)))
+    universe = context.StringUniverse(alphabet, 4)
+    expected = [q for q in alphabet.monoid.enumerate_strings(4)
+                if oracle.canonical_word(q)[-2:] != ("P0", "P1")]
+    assert list(universe.members) == expected
+    assert ("P2", "P0", "P1") not in universe and ("P0", "P1", "P2") in universe

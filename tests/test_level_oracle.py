@@ -11,9 +11,11 @@ references are the code this replaced, kept in ``tests/valuation_oracle.py``:
 - ``StringUniverse.members`` must be the strings that ``in_sp0`` keeps, in
   enumeration order, also for strings whose largest singular value is
   null_threshold * (1 +- 1e-6);
-- the level certificate of ``bounded_ideal`` must list the members and the
-  violations of the set-based loop, in its order, on Hypothesis patterns
-  that include non-ideals, a one-letter and the empty alphabet;
+- the row certificate of ``bounded_ideal``, given every string as its own
+  row, must list the members, the count and the violations of the
+  set-based loop and of the tuple-level certificate it replaced, in their
+  order, on Hypothesis patterns that include non-ideals, a one-letter and
+  the empty alphabet;
 - no domain that enumerates strings calls ``ProjectorAlphabet.reduce``.
 """
 
@@ -48,11 +50,13 @@ def seeded_alphabet(seed, dim, tol=DEFAULT_TOL):
 def test_level_stacks_equal_the_reference_reductions(dim, depth):
     alphabet = seeded_alphabet(5300 + dim, dim)
     names = alphabet.monoid.alphabet
-    levels, stack = alphabet.levels(depth)
-    assert len(levels) == depth + 1
-    for k, (strings, canon) in enumerate(levels):
-        assert strings == list(itertools.product(names, repeat=k))
+    canons, stack, left = alphabet.levels(depth)
+    assert len(canons) == depth + 1
+    for k, canon in enumerate(canons):
+        strings = list(itertools.product(names, repeat=k))
         assert canon.shape == (len(names) ** k,)
+        if k < depth:   # (a,) + q has row left[a, canon(q)]
+            assert np.array_equal(left[:, canon].reshape(-1), canons[k + 1])
         for q, row in zip(strings, stack[canon]):
             assert np.array_equal(row, oracle.reduce(alphabet, oracle.canonical_word(q)))
             assert np.allclose(row, oracle.reduce(alphabet, q), rtol=0, atol=1e-12)
@@ -119,6 +123,7 @@ def test_universe_at_the_null_threshold_matches_in_sp0(seed, dim, policy, side):
 @example(n_letters=1, depth=4, upward=False, density=0.5, seed=2)
 @example(n_letters=1, depth=4, upward=True, density=0.1, seed=3)
 def test_level_certificate_matches_the_set_based_loop(n_letters, depth, upward, density, seed):
+    # every string its own row, so any pattern of kept strings is a pattern of rows
     monoid = ProjStringMonoid(tuple("PQR"[:n_letters]))
     rng = np.random.default_rng(seed)
     levels = list(monoid.levels(depth))
@@ -134,11 +139,14 @@ def test_level_certificate_matches_the_set_based_loop(n_letters, depth, upward, 
     def predicate(qs):
         return [q in chosen for q in qs]
 
-    ideal = bounded_ideal(monoid, predicate, zip(levels, kept))
+    canons, left = oracle.string_rows(n_letters, depth)
+    ideal = bounded_ideal(monoid, predicate, canons, np.concatenate(kept), left)
     members, violations = oracle.bounded_ideal(monoid, predicate, depth)
     assert ideal.max_verified_length == depth
     assert ideal.members == members
+    assert ideal.member_count() == len(members)
     assert ideal.violations == violations
+    assert oracle.level_ideal(monoid, zip(levels, kept)) == (members, violations)
     if upward:
         assert not ideal.violations
 

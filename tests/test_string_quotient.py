@@ -10,8 +10,10 @@ level), run on the same snapped letters:
 
 - ``reduce(q)`` is bit for bit the row of q's canonical word;
 - ``StringUniverse`` and the four depth-certified valuations keep the same
-  strings and violations as the full-level path at depths 0-8, on qubit,
-  qutrit and dimension-4 alphabets of three letters and of one letter;
+  strings, member counts and violations as the full-level path at depths
+  0-8, on qubit, qutrit and dimension-4 alphabets of three letters and of
+  one letter, and on rank-1 alphabets whose products fall below a 1e-2 null
+  threshold, so that the valuations have violations;
 - so they do at null_threshold * (1 +- 1e-6);
 - on diag(1, 1e-7), accepted as a projector within tolerance, ``a`` and
   ``aa`` agree in ``reducible``, in the universe and in the polar of a ray.
@@ -28,7 +30,6 @@ from monoidtopos.linalg import DEFAULT_TOL, Projector, TolerancePolicy
 from monoidtopos.reduction import (DensityMatrix, ProjectorAlphabet, in_reduced_eigenspace,
                                    rays_agree, truth_ray_equal_strings, unit_state,
                                    valuation_density, valuation_ray, valuation_vector)
-from monoidtopos.strings import bounded_ideal
 from tests.generators import (random_density, random_labeled_hermitian, random_projector,
                               random_state, random_unitary)
 
@@ -44,13 +45,15 @@ def seeded_alphabet(seed, dim, n_letters, tol=DEFAULT_TOL):
 @pytest.mark.parametrize("n_letters", [1, 2, 3, 4])
 def test_level_k_multiplies_only_the_canonical_words(n_letters):
     alphabet = seeded_alphabet(5600 + n_letters, 2, n_letters)
-    levels, stack = alphabet.levels(DEPTH)
+    canons, stack, left = alphabet.levels(DEPTH)
     # the stack holds one product per row, laid out level by level
-    ends = [int(canon.max()) + 1 for _, canon in levels]
+    ends = [int(canon.max()) + 1 for canon in canons]
     counts = [b - a for a, b in zip([0] + ends, ends)]
     assert counts == [1] + [n_letters * (n_letters - 1) ** (k - 1) for k in range(1, DEPTH + 1)]
     assert len(stack) == sum(counts)
-    for k, (strings, canon) in enumerate(levels):
+    assert left.shape == (n_letters, ends[-2])
+    for k, canon in enumerate(canons):
+        strings = list(itertools.product(alphabet.monoid.alphabet, repeat=k))
         assert len(canon) == len(strings) == n_letters ** k
         words = {oracle.canonical_word(q) for q in strings}
         assert len(set(canon.tolist())) == len(words)   # one row per canonical word
@@ -59,8 +62,8 @@ def test_level_k_multiplies_only_the_canonical_words(n_letters):
 @pytest.mark.parametrize("dim,n_letters", ALPHABETS)
 def test_reduce_is_the_canonical_row_bit_for_bit(dim, n_letters):
     alphabet = seeded_alphabet(5700 + dim, dim, n_letters)
-    levels, stack = alphabet.levels(6)
-    for strings, canon in levels:
+    canons, stack, _ = alphabet.levels(6)
+    for strings, canon in zip(alphabet.monoid.levels(6), canons):
         for q, row in zip(strings, stack[canon]):
             assert np.array_equal(alphabet.reduce(q), row)
             assert np.array_equal(alphabet.reduce(oracle.canonical_word(q)), row)
@@ -102,23 +105,47 @@ def predicates(alphabet, seed):
     ]
 
 
-@pytest.mark.parametrize("dim,n_letters", ALPHABETS)
-def test_universe_and_valuations_match_the_full_level_path(dim, n_letters):
-    alphabet = seeded_alphabet(5800 + dim, dim, n_letters)
-    check_universes(alphabet)
+def check_valuations(alphabet, seed):
+    """The four valuations at every depth to DEPTH against the certificate of
+    the full-level path; the number of violations at DEPTH."""
     full = list(oracle.full_levels(alphabet, DEPTH))
-    for valuation, keep in predicates(alphabet, 5900 + dim):
+    found = 0
+    for valuation, keep in predicates(alphabet, seed):
         kept = [keep(stack) for _, stack in full]
         for d in range(DEPTH + 1):
             ideal = valuation(d)
-            reference = bounded_ideal(alphabet.monoid, None,
-                                      zip([s for s, _ in full[:d + 1]], kept[:d + 1]))
-            assert ideal.members == reference.members
-            assert ideal.violations == reference.violations
+            members, violations = oracle.level_ideal(
+                alphabet.monoid, zip([s for s, _ in full[:d + 1]], kept[:d + 1]))
+            assert ideal.members == members
+            assert ideal.member_count() == len(members)
+            assert ideal.violations == violations
+        found += len(violations)
         members = set(ideal.members)
         sample = itertools.islice(alphabet.monoid.enumerate_strings(DEPTH), 0, None, 37)
         for q in sample:   # ``in`` reduces one string: the same bits as its level row
             assert (q in ideal) == (q in members)
+    return found
+
+
+@pytest.mark.parametrize("dim,n_letters", ALPHABETS)
+def test_universe_and_valuations_match_the_full_level_path(dim, n_letters):
+    alphabet = seeded_alphabet(5800 + dim, dim, n_letters)
+    check_universes(alphabet)
+    check_valuations(alphabet, 5900 + dim)
+
+
+# Products of rank-1 letters decay past this threshold within DEPTH letters,
+# so the valuations have violations and the universe loses strings.
+COARSE = TolerancePolicy(eps=1e-9, null_threshold=1e-2)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_valuations_with_violations_match_the_full_level_path(dim):
+    rng = np.random.default_rng(5850)
+    alphabet = ProjectorAlphabet({f"P{i}": random_projector(rng, dim, 1) for i in range(3)},
+                                 COARSE)
+    assert len(check_universes(alphabet)) < alphabet.monoid.count_strings(DEPTH)
+    assert check_valuations(alphabet, 5900 + dim) > 0
 
 
 POLICIES = [DEFAULT_TOL, TolerancePolicy(eps=1e-9, null_threshold=1e-6)]

@@ -1,5 +1,3 @@
-import itertools
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +5,8 @@ from hypothesis import strategies as st
 
 from monoidtopos.errors import CapacityError, PreconditionError, UsageError
 from monoidtopos.strings import DEFAULT_STRING_BUDGET, ProjStringMonoid, bounded_ideal
+from tests.test_row_valuations import count_decoded
+from tests.valuation_oracle import string_rows
 
 ABC = ProjStringMonoid(("P", "Q", "R"))
 
@@ -92,12 +92,12 @@ def test_enumerate_budget_refuses_deep_domains_before_counting():
 
 
 def ideal_of(monoid, keep, depth):
-    """The ideal of the strings that ``keep`` accepts, given level by level."""
+    """The ideal of the strings that ``keep`` accepts, every string its own row."""
     def predicate(qs):
         return [keep(q) for q in qs]
-    return bounded_ideal(monoid, predicate, (
-        (strings, np.array(predicate(strings), dtype=bool))
-        for strings in monoid.levels(depth)))
+    canons, left = string_rows(len(monoid.alphabet), depth)
+    kept = np.array(predicate(list(monoid.enumerate_strings(depth))), dtype=bool)
+    return bounded_ideal(monoid, predicate, canons, kept, left)
 
 
 def test_bounded_ideal_certificate_clean():
@@ -123,24 +123,28 @@ def test_bounded_ideal_members_exhaustive():
     assert list(ideal.members) == expected
 
 
-def test_bounded_ideal_takes_one_kept_array_per_level():
-    # bounded_ideal reads one kept array per level, in ``levels`` order, and
-    # calls the predicate only for ``in``, on one-string lists
-    read, asked = [], []
-
-    def levels():
-        for strings in ABC.levels(6):
-            read.append(list(strings))
-            yield strings, np.array([q[:1] != ("R",) for q in strings])
+def test_bounded_ideal_takes_one_kept_boolean_per_row(monkeypatch):
+    # strings sharing a row share its boolean: here the row of a string is its
+    # first letter (row 0 the empty string), and a·q has row a + 1.  The
+    # predicate is asked only for ``in``, on one-string lists; the violations
+    # decode only their members, and the members are decoded once, when read
+    decoded = count_decoded(monkeypatch)
+    asked = []
 
     def predicate(qs):
         asked.append(list(qs))
         return [q[:1] != ("R",) for q in qs]
 
-    ideal = bounded_ideal(ABC, predicate, levels())
-    assert read == [list(itertools.product("PQR", repeat=k)) for k in range(7)]
-    assert asked == []
+    canons = [np.zeros(1, dtype=np.intp)] + [np.repeat(np.arange(1, 4), 3 ** (k - 1))
+                                             for k in range(1, 7)]
+    left = np.tile(np.arange(1, 4)[:, None], (1, 4))
+    ideal = bounded_ideal(ABC, predicate, canons, np.array([True, True, True, False]), left)
+    expected = [q for q in ABC.enumerate_strings(6) if q[:1] != ("R",)]
+    assert ideal.violations == tuple(("R", q) for q in expected if len(q) < 6)
+    assert ideal.member_count() == len(expected)
+    assert asked == [] and decoded == [len(ideal.violations)]
     assert ideal.max_verified_length == 6
-    assert list(ideal.members) == [q for q in ABC.enumerate_strings(6) if q[:1] != ("R",)]
+    assert list(ideal.members) == expected
+    assert ideal.members is ideal.members and decoded == [len(ideal.violations), len(expected)]
     assert ("R", "P") not in ideal and ("P", "R") in ideal
     assert asked == [[("R", "P")], [("P", "R")]]

@@ -6,7 +6,9 @@ reduced eigenspace basis and one membership test.  They use their own
 suffix-memoised ``reduce``, per-column Gram-Schmidt, ``image_subspace``
 and ``in_subspace``, so they share no numerics with the level stacks or
 the kernel.  States enter through their unit representative, as in the
-package.
+package.  The file also keeps the tuple-level ideal certificate and the
+batched kernel (a stack of tiny matmuls per shared operand) that the
+canonical-row certificate and the flat products replaced.
 """
 
 import itertools
@@ -17,6 +19,7 @@ import numpy as np
 from monoidtopos.context import RaySet, Sieve, StringUniverse, polar_of_rays
 from monoidtopos.errors import ContextError, StructureError
 from monoidtopos.linalg import DEFAULT_TOL, Ray, Subspace, as_vector, ray_equal
+from monoidtopos.linalg import orthonormalize as batched_orthonormalize
 
 
 def orthonormalize(columns, null_threshold):
@@ -97,6 +100,31 @@ def full_levels(alphabet, depth):
         if k:
             stack = (letters @ stack).reshape(-1, alphabet.dim, alphabet.dim)
         yield strings, stack
+
+
+def level_ideal(monoid, levels):
+    """The tuple-level certificate that the canonical-row one replaced: from
+    each (strings, kept) level of ``monoid.levels``, the kept strings, and the
+    single-letter extensions leaving them, by member, then letter."""
+    levels, width = list(levels), len(monoid.alphabet)
+    members = [q for strings, kept in levels for q in itertools.compress(strings, kept)]
+    violations = [(monoid.alphabet[a], shorter[i])
+                  for (shorter, was), (_, kept) in itertools.pairwise(levels)
+                  for i, a in zip(*(was & ~kept.reshape(width, len(shorter))).T.nonzero())]
+    return tuple(members), tuple(violations)
+
+
+def string_rows(n_letters, depth):
+    """``canons`` and ``left`` for ``strings.bounded_ideal`` with every string
+    its own row: string i of level k is row offset_k + i, and (a,) + q is
+    string a * L**k + i of level k+1."""
+    sizes = [n_letters ** k for k in range(depth + 1)]
+    offsets = np.cumsum([0] + sizes)
+    canons = [np.arange(offsets[k], offsets[k + 1]) for k in range(depth + 1)]
+    left = np.concatenate([np.empty((n_letters, 0), dtype=np.intp)] + [
+        offsets[k + 1] + np.arange(n_letters)[:, None] * sizes[k] + np.arange(sizes[k])
+        for k in range(depth)], axis=1)
+    return canons, left
 
 
 def bounded_ideal(monoid, predicate, depth):
@@ -222,3 +250,35 @@ def sieve_valuation(alphabet, psi, op, delta, context):
     p = len(q)
     return Sieve(q, frozenset(k for k in range(p + 1) if vector_inside(
         reduce(alphabet, q[p - k:]), v, target, alphabet.tol)))
+
+
+# ---------------------------------------------------------------------------
+# The batched kernel that the flat products replaced: every reduction
+# multiplied by the shared operands as a stack of tiny matmuls
+
+
+def batched_in_reduced_eigenspace(reductions, state, target, tol, projective=False):
+    thr = tol.null_threshold
+    images = batched_orthonormalize(reductions @ target.basis, thr)
+    if state.ndim == 2:
+        reduced = reductions @ state @ reductions.conj().transpose(0, 2, 1)
+        total = np.trace(reduced, axis1=1, axis2=2).real
+        kept = np.einsum("nik,nij,njk->n", images.conj(), reduced, images).real
+        return np.abs(total - kept) <= thr * np.maximum(total, 1.0)
+    w = reductions @ state
+    norm = np.linalg.norm(w, axis=1)
+    residual = w - (images @ (images.conj().transpose(0, 2, 1) @ w[..., None]))[..., 0]
+    inside = np.linalg.norm(residual, axis=1) <= thr * np.maximum(norm, 1.0)
+    if projective:
+        rank_drop = ~images.any(axis=1).all(axis=1)
+        inside = np.where(norm <= thr, rank_drop, inside)
+    return inside
+
+
+def batched_rays_agree(reductions, psi, phi, tol):
+    a, b = reductions @ psi, reductions @ phi
+    na, nb = np.linalg.norm(a, axis=1), np.linalg.norm(b, axis=1)
+    alive_a, alive_b = na > tol.null_threshold, nb > tol.null_threshold
+    with np.errstate(divide="ignore", invalid="ignore"):
+        same = np.abs(np.einsum("ni,ni->n", a.conj(), b)) / (na * nb) >= 1.0 - tol.eps
+    return np.where(alive_a, alive_b & same, ~alive_b)
