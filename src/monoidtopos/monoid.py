@@ -76,7 +76,7 @@ class FiniteMonoid:
         self.names = names
         self._rows: Optional[tuple[tuple[int, ...], ...]] = None
         self._reach: Optional[tuple[int, ...]] = None
-        self._ideals: Optional[tuple["LeftIdeal", ...]] = None
+        self._ideals: Optional[tuple[tuple["LeftIdeal", ...], np.ndarray]] = None
         self._lattice: Optional[tuple[np.ndarray, ...]] = None
         self._gens: Optional[tuple[int, ...]] = None
         self._associative = False
@@ -277,11 +277,18 @@ def enumerate_left_ideals(m: FiniteMonoid) -> list[LeftIdeal]:
     """All left ideals, sorted by (size, mask); always contains 0 and M.  Each
     is a union of principal ideals, which ``ideal_lattice`` has checked, so
     none is checked again."""
+    return list(_sorted_ideals(m)[0])
+
+
+def _sorted_ideals(m: FiniteMonoid) -> tuple[tuple[LeftIdeal, ...], np.ndarray]:
+    """The ideals of :func:`enumerate_left_ideals` and, for each, its row of
+    :func:`ideal_lattice`'s codes, kept on the monoid."""
     if m._ideals is None:
         codes, cls, _, _ = ideal_lattice(m)
-        masks = sorted(row_masks(codes[:, cls]), key=lambda k: (k.bit_count(), k))
-        m._ideals = tuple(LeftIdeal._known(m, mask) for mask in masks)
-    return list(m._ideals)
+        masks = row_masks(codes[:, cls])
+        rows = sorted(range(len(masks)), key=lambda i: (masks[i].bit_count(), masks[i]))
+        m._ideals = tuple(LeftIdeal._known(m, masks[i]) for i in rows), np.array(rows, np.intp)
+    return m._ideals
 
 
 def ideal_lattice(m: FiniteMonoid) -> tuple[np.ndarray, ...]:
@@ -339,7 +346,17 @@ def map_monoid(k: int) -> FiniteMonoid:
         raise StructureError("need at least one point")
     if k ** k > MONOID_SIZE_CAP:
         raise CapacityError(f"map monoid on {k} points exceeds size cap")
-    return _composition_monoid(map_monoid_values(k))
+    # Element g is the map whose base-k code is g, so digit x of g is g(x), and f∘g is
+    # the element whose digit x is f(g(x)).  Row f of the codes is a sum over the digits
+    # of g, grown from the last digit so that the contiguous axis is the long one.
+    n = k ** k
+    values = np.ascontiguousarray(np.indices((k,) * k, np.min_scalar_type(n - 1)).reshape(k, n).T)
+    codes = np.zeros((n, 1), dtype=values.dtype)
+    for x in reversed(range(k)):
+        grown = np.empty((n, k * codes.shape[1]), dtype=codes.dtype)   # the last is adopted
+        np.add(values[:, :, None] * k ** (k - 1 - x), codes[:, None, :], out=grown.reshape(n, k, -1))
+        codes = grown
+    return _map_monoid_of(map_monoid_values(k), codes)
 
 
 def map_monoid_values(k: int) -> list[tuple[int, ...]]:
@@ -379,12 +396,11 @@ def closure_maps(generator_maps: Iterable[tuple[int, ...]], k: int,
 
 
 def _composition_monoid(maps: list[tuple[int, ...]]) -> FiniteMonoid:
-    """The sorted self-maps of {0..k-1} (the identity among them) under composition,
-    each named 'f' followed by its value digits.  Digit x of the base-k code of f∘g is
-    ``values[f, values[g, x]]``, and f∘g is found among the maps' own sorted codes."""
+    """The sorted self-maps of {0..k-1} (the identity among them) under composition.
+    Digit x of the base-k code of f∘g is ``values[f, values[g, x]]``, and f∘g is
+    found among the maps' own sorted codes."""
     k, n = len(maps[0]), len(maps)
     values = np.array(maps, dtype=np.min_scalar_type(k - 1))
-    identity = maps.index(tuple(range(k)))
     own = np.zeros(n, dtype=np.min_scalar_type(k ** k - 1))  # object from k = 17
     for x in range(k):
         own = own * k + values[:, x]
@@ -394,9 +410,15 @@ def _composition_monoid(maps: list[tuple[int, ...]]) -> FiniteMonoid:
         for x in range(k):
             codes = codes * k + values[i:i + rows].take(values[:, x], axis=1)
         table[i:i + rows] = own.searchsorted(codes)
-    names = ["f" + "".join(str(v) for v in f) for f in maps]
+    return _map_monoid_of(maps, table)
+
+
+def _map_monoid_of(maps: list[tuple[int, ...]], table: np.ndarray) -> FiniteMonoid:
+    """The sorted self-maps of {0..k-1} with their fresh composition table, each
+    named 'f' followed by its value digits."""
+    k = len(maps[0])
     monoid = FiniteMonoid.__new__(FiniteMonoid)
-    monoid._own(table, identity, names)   # the table is fresh: adopt it, no copy
+    monoid._own(table, maps.index(tuple(range(k))), [("f" + "%d" * k) % f for f in maps])
     monoid._associative = True   # composition of maps is associative
     return monoid
 
@@ -417,9 +439,9 @@ def heyting_report(m: FiniteMonoid) -> dict:
     principal ideals inside them.  Returns a dict with the ideal count, a
     pass/fail flag per law, and the list of ideals witnessing failure of
     excluded middle (join with their negation below the full ideal)."""
-    ideals = enumerate_left_ideals(m)
-    every, _, reps, under = ideal_lattice(m)
-    codes = mask_rows([i.mask for i in ideals], m.size)[:, reps]
+    ideals, rows = _sorted_ideals(m)
+    every, _, _, under = ideal_lattice(m)
+    codes = every[rows]
     neg = ~(codes | codes @ under.T)   # bit j of ¬a: no bit of a is j or below it
     found = row_index(codes, np.concatenate((every, neg))) >= 0
     holes = every[~found[:len(every)]]

@@ -6,13 +6,18 @@ loops over elements (or pairs of maps) one at a time, as the library did
 before it kept the table as one array.  ``verify_associativity`` is the
 whole-cube broadcast that the row-by-row check replaced, and
 ``union_closure`` the search for every union of the principal ideals (or of
-an M-set's orbits) that the down-set enumeration replaced.
+an M-set's orbits) that the down-set enumeration replaced.  ``canonical_key``
+and ``all_monoids_upto_iso`` are the corpus's isomorphism key, one
+relabelling at a time, and its exhaustive search, one candidate table at a
+time, that the stacked gathers of ``corpus.py`` replaced.
 """
+
+import itertools
 
 import numpy as np
 
 from monoidtopos.errors import CapacityError
-from monoidtopos.monoid import IDEAL_COUNT_CAP
+from monoidtopos.monoid import IDEAL_COUNT_CAP, FiniteMonoid
 
 
 def composition_monoid(maps):
@@ -79,3 +84,32 @@ def left_ideals(table):
     if any(reach[i] & ~mask for mask in reach for i in range(len(table)) if mask >> i & 1):
         return None
     return sorted(union_closure(reach, "ideal lattice"), key=lambda k: (k.bit_count(), k))
+
+
+def canonical_key(m):
+    """``(size, rows)``: the least relabelled table over the relabellings
+    that fix the identity, tried one permutation at a time."""
+    table, best = m.table, None
+    for p in itertools.permutations([a for a in range(m.size) if a != m.identity]):
+        order = (m.identity, *p)   # the relabelled monoid's element i is order[i]
+        label = {a: i for i, a in enumerate(order)}
+        key = tuple(tuple(label[table[a][b]] for b in order) for a in order)
+        if best is None or key < best:
+            best = key
+    return (m.size, best)
+
+
+def all_monoids_upto_iso(size):
+    """One monoid per isomorphism class of the given size, the first of each
+    class in ``itertools.product`` order over the tables with identity 0."""
+    seen, out, w = set(), [], size - 1
+    for choice in itertools.product(range(size), repeat=w * w):
+        # row and column 0 are the identity's; the choice fills the rest row by row
+        table = [tuple(range(size))] + [(i, *choice[(i - 1) * w:i * w]) for i in range(1, size)]
+        if not verify_associativity(table):
+            continue
+        key = canonical_key(FiniteMonoid(table))
+        if key not in seen:
+            seen.add(key)
+            out.append(FiniteMonoid(key[1]))
+    return out
