@@ -181,10 +181,8 @@ def cmd_truth(spec: SystemSpec, args) -> tuple[dict, None]:
         ideal = truth_in_subset(mset, args.point, int_set(args.subset))
     elif args.kind == "leq":
         ideal = truth_subset_leq(mset, int_set(args.subset), int_set(args.subset2))
-    elif args.kind == "equal":
+    else:   # "equal": argparse's choices admit no other kind
         ideal = truth_equal(mset, args.point, args.point2)
-    else:
-        raise CliError(f"unknown truth kind {args.kind!r}")
     return {"ideal": ideal_payload(ideal)}, None
 
 
@@ -237,11 +235,9 @@ def cmd_valuate(spec: SystemSpec, args) -> tuple[dict, dict]:
         ideal = valuation_vector(alphabet, rq.state(args.state), op, delta, depth)
     elif args.mode == "ray":
         ideal = valuation_ray(alphabet, rq.state(args.state), op, delta, depth)
-    elif args.mode == "density":
+    else:   # "density": argparse's choices admit no other mode
         rho = spec.lookup(rq.densities, args.density, "density")
         ideal = valuation_density(alphabet, rho, op, delta, depth)
-    else:
-        raise CliError(f"unknown valuation mode {args.mode!r}")
     return {"ideal": bounded_ideal_payload(ideal)}, universe
 
 
@@ -263,13 +259,12 @@ def cmd_equal(spec: SystemSpec, args) -> tuple[dict, Optional[dict]]:
         accepted = context_truth_equal(psi, phi, xi, universe)
         return ({"strings": strings_payload(accepted)},
                 _universe_payload(spec, args.universe))
-    if args.mode == "sieve":
-        _need(args, "equal --mode sieve", "context")
-        context = parse_name_group(args.context)
-        alphabet = spec.alphabet_for(args.system, tuple(dict.fromkeys(context)))
-        sieve = sieve_truth_equal(alphabet, psi, phi, context)
-        return {"sieve": sieve.to_payload()}, None
-    raise CliError(f"unknown equality mode {args.mode!r}")
+    # "sieve": argparse's choices admit no other mode
+    _need(args, "equal --mode sieve", "context")
+    context = parse_name_group(args.context)
+    alphabet = spec.alphabet_for(args.system, tuple(dict.fromkeys(context)))
+    sieve = sieve_truth_equal(alphabet, psi, phi, context)
+    return {"sieve": sieve.to_payload()}, None
 
 
 def _universe_payload(spec: SystemSpec, name: str) -> dict:

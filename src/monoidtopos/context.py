@@ -4,22 +4,22 @@ and sieve-valued contextual truth.
 Polars are computed relative to explicit finite universes: a StringUniverse
 (all strings up to a length bound whose reduction is non-null) and a RaySet
 of candidate rays.  All Galois identities hold exactly for the restricted
-relation "the string does not annihilate the ray".  The universe reads
-"non-null" off its alphabet's canonical words (no letter next to itself),
-decided once per alphabet, and keeps its members' reductions, gathered from
-those rows, as one stack.  A RaySet is one (n, d) matrix of unit, phase-canonical
-representatives (duplicates found in one Gram matrix); a subset records its
-root set and rows there, and shares the root's ``Ray`` objects, made when
-asked for.  The universe decides the relation, one boolean matrix on its
-strings and a root set's rays, once per root set; each polar and closure
-gathers it at row and column indices and reduces it with ``all``.  Relatives
-are compared by rows, other ray sets by one matrix of normalised overlaps.
+relation "the string does not annihilate the ray".  The universe is a view
+of its alphabet's canonical words (no letter next to itself), whose
+"non-null" is decided once per alphabet: it keeps each member's row, so
+strings sharing a word share every answer.  A RaySet is one (n, d) matrix
+of unit, phase-canonical representatives (duplicates found in one Gram
+matrix); a subset records its root set and rows there, and shares the
+root's ``Ray`` objects, made when asked for.  The universe decides the
+relation once per canonical row and root set and keeps it at the members'
+rows; each polar and closure gathers that at row and column indices and
+reduces it with ``all``.  Relatives are compared by rows, other ray sets
+by one matrix of normalised overlaps.
 
 The contextual valuations are the two predicates of ``reduction``
-(``in_reduced_eigenspace`` and ``rays_agree``) on two more domains of
-strings: the rows of the universe's stack in the polar of a context ray
-set, and the tails of one context string, stacked as running products
-from the right.
+(``in_reduced_eigenspace`` and ``rays_agree``) on the universe's canonical
+rows, read by the members in the polar of a context ray set, and on the
+alphabet's ``tails`` of one context string.
 """
 
 from __future__ import annotations
@@ -153,28 +153,27 @@ def in_sp0(alphabet: ProjectorAlphabet, letters: Sequence[str]) -> bool:
 
 
 class StringUniverse:
-    """All strings up to a length bound with non-null reduction, and their reductions.
+    """All strings up to a length bound with non-null reduction.
 
-    A string is a member when its canonical row is alive in the alphabet;
-    ``reductions`` stacks the members' rows and ``len`` counts them.
-    ``members`` decodes the strings once, on first read, in enumeration
-    order."""
+    ``canons`` and ``stack`` are the alphabet's levels to the bound; a string
+    is a member when its row is alive, and ``rows`` holds the members' rows
+    of ``stack`` in enumeration order.  ``members`` decodes the strings
+    once, on first read, in the same order."""
 
     def __init__(self, alphabet: ProjectorAlphabet, max_len: int):
         self.alphabet = alphabet
         self.max_len = int(max_len)
-        self._canons, stack, _ = alphabet.levels(self.max_len)
-        self._alive = alphabet.alive
-        self.reductions = stack[np.concatenate([c[self._alive[c]] for c in self._canons])]
+        self.canons, self.stack, _ = alphabet.levels(self.max_len)
+        self.rows = np.concatenate([c[alphabet.alive[c]] for c in self.canons])
         # the relation's matrix by root ray set (see _incidence), dropped with the set
         self.incidence = weakref.WeakKeyDictionary()
 
     @cached_property
     def members(self) -> tuple[Letters, ...]:
-        return self.alphabet.monoid.decode(self._canons, self._alive)
+        return self.alphabet.monoid.decode(self.canons, self.alphabet.alive)
 
     @cached_property
-    def _rows(self) -> dict[Letters, int]:
+    def _positions(self) -> dict[Letters, int]:
         return dict(zip(self.members, range(len(self.members))))
 
     @property
@@ -182,72 +181,71 @@ class StringUniverse:
         return self.alphabet.tol
 
     def __len__(self):
-        return len(self.reductions)
+        return len(self.rows)
 
     def __contains__(self, q) -> bool:
-        return tuple(q) in self._rows
+        return tuple(q) in self._positions
 
     def check_subset(self, strings: Iterable[Letters]) -> np.ndarray:
-        """The rows of the strings in the universe's stack."""
+        """The strings' indices among the members."""
         try:
-            return np.array([self._rows[tuple(q)] for q in strings], dtype=int)
+            return np.array([self._positions[tuple(q)] for q in strings], dtype=int)
         except KeyError as exc:
             raise UsageError(f"string {exc.args[0]!r} is outside the universe") from None
 
 
 def _non_annihilation(universe: StringUniverse, rays: RaySet) -> np.ndarray:
     """The relation of the Galois connection as a boolean matrix: entry
-    [i, j] is True iff the universe's i-th string does not annihilate
+    [c, j] is True iff row c of the universe's stack does not annihilate
     rays[j], i.e. sends the ray's representative above the null threshold."""
-    d = universe.alphabet.dim
+    d, stack = universe.alphabet.dim, universe.stack
     if len(rays) and rays.dim != d:
         raise ContextError(f"ray set has dimension {rays.dim}, "
                            f"but the universe's strings act on dimension {d}")
-    reductions = universe.reductions
-    images = (reductions.reshape(-1, d) @ rays.units.reshape(-1, d).T).reshape(
-        len(reductions), d, len(rays))
+    images = (stack.reshape(-1, d) @ rays.units.reshape(-1, d).T).reshape(len(stack), d, len(rays))
     return np.linalg.norm(images, axis=1) > universe.tol.null_threshold
 
 
 def _incidence(universe: StringUniverse, rays: RaySet) -> np.ndarray:
-    """The relation at the set's columns, of the universe's matrix for its root (if any)."""
+    """The relation at the members and the set's columns, of the universe's
+    matrix for its root (if any), gathered at the members' rows once."""
     root, cols = rays.lineage()
     if not len(cols):
         return np.ones((len(universe), 0), dtype=bool)
     if (inc := universe.incidence.get(root)) is None:
-        inc = universe.incidence[root] = _non_annihilation(universe, root)
+        inc = universe.incidence[root] = _non_annihilation(universe, root)[universe.rows]
     return inc[:, cols]
 
 
-def _polar_rows(xi: RaySet, universe: StringUniverse) -> np.ndarray:
-    """The rows of the universe annihilating no ray of the set."""
+def _polar_members(xi: RaySet, universe: StringUniverse) -> np.ndarray:
+    """The indices of the members annihilating no ray of the set."""
     return _incidence(universe, xi).all(axis=1).nonzero()[0]
 
 
-def _polar_of_rows(universe: StringUniverse, rows: np.ndarray, candidates: RaySet) -> RaySet:
-    """The candidates annihilated by no string at the universe's rows."""
-    keep = _incidence(universe, candidates)[rows].all(axis=0)
+def _polar_of_members(universe: StringUniverse, members: np.ndarray, candidates: RaySet) -> RaySet:
+    """The candidates annihilated by no member at the given indices."""
+    keep = _incidence(universe, candidates)[members].all(axis=0)
     return candidates.subset(keep.nonzero()[0].tolist())
 
 
 def polar_of_rays(xi: RaySet, universe: StringUniverse) -> tuple[Letters, ...]:
     """Strings of the universe annihilating no ray of the set (the arrows
     out of the set, relative to the universe)."""
-    return tuple(universe.members[i] for i in _polar_rows(xi, universe))
+    return tuple(universe.members[i] for i in _polar_members(xi, universe))
 
 
 def polar_of_strings(universe: StringUniverse, strings: Iterable[Letters],
                      candidates: RaySet) -> RaySet:
     """Rays of the candidate set annihilated by no string of the given
     subset of the universe."""
-    return _polar_of_rows(universe, universe.check_subset(strings), candidates)
+    return _polar_of_members(universe, universe.check_subset(strings), candidates)
 
 
 def closure_rays(xi: RaySet, universe: StringUniverse, candidates: RaySet) -> RaySet:
     """Double polar of a ray set relative to the two universes."""
     if not xi.is_subset_of(candidates):
         raise UsageError("ray set must lie inside the candidate universe")
-    return _polar_of_rows(universe, _polar_rows(xi, universe), candidates)
+    return _polar_of_members(universe, _polar_members(xi, universe), candidates)
 
 
 def is_full(xi: RaySet, universe: StringUniverse, candidates: RaySet) -> bool:
@@ -262,30 +260,30 @@ def _subject(states: Sequence) -> str:
 
 def _context_members(xi: RaySet, universe: StringUniverse,
                      *states) -> tuple[np.ndarray, list[np.ndarray]]:
-    """The rows of the universe in the polar of the context and the unit
+    """The indices of the members in the polar of the context and the unit
     representatives of the states, which must lie in the context ray set."""
     rays = [Ray(as_vector(s, universe.alphabet.dim), xi.tol) for s in states]
     if not all(xi.contains(r) for r in rays):
         raise ContextError(f"{_subject(states)} must lie in the context ray set")
-    return _polar_rows(xi, universe), [r.representative for r in rays]
+    return _polar_members(xi, universe), [r.representative for r in rays]
 
 
 def context_truth_equal(psi, phi, xi: RaySet, universe: StringUniverse) -> tuple[Letters, ...]:
     """Strings of the polar of the context merging the two rays; every
     image is non-null by construction of the polar."""
-    rows, (v, w) = _context_members(xi, universe, psi, phi)
-    keep = rays_agree(universe.reductions[rows], v, w, universe.tol)
-    return tuple(universe.members[i] for i in rows[keep])
+    polar, (v, w) = _context_members(xi, universe, psi, phi)
+    keep = rays_agree(universe.stack, v, w, universe.tol)[universe.rows[polar]]
+    return tuple(universe.members[i] for i in polar[keep])
 
 
 def context_valuation(psi, op: HermitianOperator, delta, xi: RaySet,
                       universe: StringUniverse) -> tuple[Letters, ...]:
     """Strings of the polar of the context sending the state into the
     reduced eigenspace of the proposition."""
-    rows, (v,) = _context_members(xi, universe, psi)
+    polar, (v,) = _context_members(xi, universe, psi)
     target = op.eigenspace(delta, universe.tol)
-    keep = in_reduced_eigenspace(universe.reductions[rows], v, target, universe.tol)
-    return tuple(universe.members[i] for i in rows[keep])
+    keep = in_reduced_eigenspace(universe.stack, v, target, universe.tol)[universe.rows[polar]]
+    return tuple(universe.members[i] for i in polar[keep])
 
 
 # ---------------------------------------------------------------------------
@@ -394,18 +392,15 @@ class Sieve:
 
 def _tail_reductions(alphabet: ProjectorAlphabet, context: Sequence[str],
                      *states) -> tuple[Letters, np.ndarray, list[np.ndarray]]:
-    """The context, the reductions of its tails by length (running products
-    from the right, a repeated letter taken once as in ``reduce``, so the
-    last row reduces the whole context), and the unit representatives of
-    the states, which must be reducible at the context."""
+    """The context, the reductions of its tails by length (the alphabet's
+    ``tails``, whose last row reduces the whole context), and the unit
+    representatives of the states, which must be reducible at the context."""
     q = alphabet.monoid.check_string(context)
-    stack = [np.eye(alphabet.dim, dtype=complex)]
-    for i, letter in enumerate(reversed(q)):
-        stack.append(stack[-1] if i and q[-i] == letter else alphabet.matrix(letter) @ stack[-1])
+    stack = alphabet.tails(q)
     units = [unit_state(alphabet, s) for s in states]
     if any(np.linalg.norm(stack[-1] @ u) <= alphabet.tol.null_threshold for u in units):
         raise ContextError(f"{_subject(states)} must be reducible at the context")
-    return q, np.array(stack), units
+    return q, stack, units
 
 
 def sieve_truth_equal(alphabet: ProjectorAlphabet, psi, phi,

@@ -277,10 +277,10 @@ def enumerate_left_ideals(m: FiniteMonoid) -> list[LeftIdeal]:
     """All left ideals, sorted by (size, mask); always contains 0 and M.  Each
     is a union of principal ideals, which ``ideal_lattice`` has checked, so
     none is checked again."""
-    return list(_sorted_ideals(m)[0])
+    return list(sorted_ideals(m)[0])
 
 
-def _sorted_ideals(m: FiniteMonoid) -> tuple[tuple[LeftIdeal, ...], np.ndarray]:
+def sorted_ideals(m: FiniteMonoid) -> tuple[tuple[LeftIdeal, ...], np.ndarray]:
     """The ideals of :func:`enumerate_left_ideals` and, for each, its row of
     :func:`ideal_lattice`'s codes, kept on the monoid."""
     if m._ideals is None:
@@ -439,7 +439,7 @@ def heyting_report(m: FiniteMonoid) -> dict:
     principal ideals inside them.  Returns a dict with the ideal count, a
     pass/fail flag per law, and the list of ideals witnessing failure of
     excluded middle (join with their negation below the full ideal)."""
-    ideals, rows = _sorted_ideals(m)
+    ideals, rows = sorted_ideals(m)
     every, _, _, under = ideal_lattice(m)
     codes = every[rows]
     neg = ~(codes | codes @ under.T)   # bit j of ¬a: no bit of a is j or below it

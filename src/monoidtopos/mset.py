@@ -23,8 +23,8 @@ from typing import Hashable, Iterable, Mapping, Optional, Sequence
 import numpy as np
 
 from .errors import CapacityError, UsageError, ValidationError
-from .monoid import (FiniteMonoid, LeftIdeal, down_sets, enumerate_left_ideals, ideal_lattice,
-                     mask_rows, orbit_masks, row_index, row_masks)
+from .monoid import (FiniteMonoid, LeftIdeal, down_sets, ideal_lattice, mask_rows, orbit_masks,
+                     row_index, row_masks, sorted_ideals)
 
 Point = Hashable
 
@@ -310,10 +310,10 @@ def equivariant_maps_to_ideals(x: MSet) -> list[dict[Point, LeftIdeal]]:
     as Hom(X, Ω) ≅ Sub(X), the arrows χ_S(p) = {m | m·p ∈ S} of the invariant
     subsets S, raising CapacityError past IDEAL_COUNT_CAP of them."""
     insides = _invariant_rows(x)
-    ideals = sorted(enumerate_left_ideals(x.monoid), key=lambda i: i.mask)   # index = mask rank
-    reps = ideal_lattice(x.monoid)[2]
-    codes = mask_rows([i.mask for i in ideals], x.monoid.size)[:, reps]
-    arrows = row_index(codes, insides[:, x.table[reps].T])   # bit j of χ_S(p): reps[j]·p ∈ S
+    # each ideal with its row of the lattice's codes, indexed by mask rank
+    ideals, rows = zip(*sorted(zip(*sorted_ideals(x.monoid)), key=lambda p: p[0].mask))
+    codes, _, reps, _ = ideal_lattice(x.monoid)
+    arrows = row_index(codes[list(rows)], insides[:, x.table[reps].T])   # bit j: reps[j]·p ∈ S
     if len(x):   # lexsort takes the last key first, and needs one
         arrows = arrows[np.lexsort(arrows.T[::-1])]
     return [dict(zip(x.points, map(ideals.__getitem__, row))) for row in arrows.tolist()]

@@ -23,7 +23,6 @@ representative, so every valuation depends only on the ray.
 
 from __future__ import annotations
 
-import itertools
 from typing import Callable, Sequence
 
 import numpy as np
@@ -70,14 +69,19 @@ class ProjectorAlphabet:
         except KeyError:
             raise MissingNameError(f"unknown letter {name!r}") from None
 
+    def tails(self, letters: Sequence[str]) -> np.ndarray:
+        """The reductions of the string's tails by length: running products
+        from the right, a run of one letter taken once (P·P = P) as in
+        ``levels``, from the identity to the whole string."""
+        q = list(letters)
+        stack = [np.eye(self.dim, dtype=complex)]
+        for i, name in enumerate(reversed(q)):
+            stack.append(stack[-1] if i and q[-i] == name else self.matrix(name) @ stack[-1])
+        return np.array(stack)
+
     def reduce(self, letters: Sequence[str]) -> np.ndarray:
-        """Product of the letter matrices in application order (rightmost
-        first), a run of one letter taken once (P·P = P) as in ``levels``;
-        the empty string reduces to the identity."""
-        result = np.eye(self.dim, dtype=complex)
-        for name in reversed([name for name, _ in itertools.groupby(letters)]):
-            result = self.matrix(name) @ result
-        return result
+        """The product of the whole string, the last row of ``tails``."""
+        return self.tails(letters)[-1]
 
     def levels(self, depth: int) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
         """``(canons, stack, left)``: the strings up to ``depth`` as rows of a

@@ -238,6 +238,9 @@ QUERY_PARSE_ERRORS = [
     ("run valuate; system Q; state psi; op A; range {1}; depth deep;",
      "invalid int value: 'deep'"),
     ("run nosuch;", "invalid choice: 'nosuch'"),
+    ("run truth; mset Pts; kind nosuch;", "invalid choice: 'nosuch'"),
+    ("run valuate; system Q; state psi; op A; range {1}; mode sideways;",
+     "invalid choice: 'sideways'"),
     ("run selftest;", "unrecognized arguments"),
 ]
 

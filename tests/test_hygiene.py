@@ -1,8 +1,9 @@
 """Static checks on the package source: no module imports a name it never
 uses, no module imports a private (underscore) name of a sibling, no
 module reads a private attribute of another module's objects, no module
-but ``linalg`` takes a matrix 2-norm or an SVD, and the valuation modules
-(``reduction``, ``context``) build no level of strings as tuples."""
+but ``linalg`` takes a matrix 2-norm or an SVD, the valuation modules
+(``reduction``, ``context``) build no level of strings as tuples, and no
+module but ``reduction`` multiplies letters itself."""
 
 import ast
 from pathlib import Path
@@ -173,3 +174,32 @@ def test_detector_finds_tuple_level_calls():
 @pytest.mark.parametrize("module", ["reduction", "context"])
 def test_valuation_modules_build_no_tuple_levels(module):
     assert tuple_level_calls((SRC / f"{module}.py").read_text(encoding="utf-8")) == []
+
+
+def letter_products(source: str) -> list[str]:
+    """Calls of an alphabet's ``matrix`` (on a receiver whose name ends in
+    "alphabet"), the letter lookup of a hand-made product, as ``matrix:line``."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and isinstance(f := node.func, ast.Attribute):
+            owner = (f.value.attr if isinstance(f.value, ast.Attribute)
+                     else getattr(f.value, "id", ""))
+            if f.attr == "matrix" and owner.lower().endswith("alphabet"):
+                lines.append(node.lineno)
+    return [f"matrix:{n}" for n in sorted(lines)]
+
+
+def test_detector_finds_letter_products():
+    source = ("for i, letter in enumerate(reversed(q)):\n"
+              "    stack.append(stack[-1] if i and q[-i] == letter\n"
+              "                 else alphabet.matrix(letter) @ stack[-1])\n"
+              "a = self.alphabet.matrix('P') @ b\nc = universe.qubit_alphabet.matrix(n)\n"
+              "d = self.matrix(entry)\ne = Projector(x).matrix\nf = np.matrix(x)\n"
+              "g = alphabet.matrices['P']\nh = alphabet.reduce(q)\n")
+    assert letter_products(source) == ["matrix:3", "matrix:4", "matrix:5"]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.stem != "reduction"],
+                         ids=[p.stem for p in MODULES if p.stem != "reduction"])
+def test_only_reduction_multiplies_letters(path):
+    assert letter_products(path.read_text(encoding="utf-8")) == []

@@ -16,7 +16,8 @@ references are the code this replaced, kept in ``tests/valuation_oracle.py``:
   set-based loop and of the tuple-level certificate it replaced, in their
   order, on Hypothesis patterns that include non-ideals, a one-letter and
   the empty alphabet;
-- no domain that enumerates strings calls ``ProjectorAlphabet.reduce``.
+- no domain that enumerates strings calls ``ProjectorAlphabet.reduce``, and
+  no relation or predicate call of a universe sees more rows than its stack.
 """
 
 import itertools
@@ -27,6 +28,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import tests.valuation_oracle as oracle
+from monoidtopos import context
 from monoidtopos.context import (RaySet, StringUniverse, closure_rays, context_truth_equal,
                                  context_valuation, in_sp0, is_full, polar_of_rays,
                                  polar_of_strings)
@@ -70,8 +72,8 @@ def check_universe(alphabet, depth):
     universe = StringUniverse(alphabet, depth)
     expected = [q for q in alphabet.monoid.enumerate_strings(depth) if in_sp0(alphabet, q)]
     assert list(universe.members) == expected
-    assert len(universe.reductions) == len(expected)
-    for q, row in zip(universe.members, universe.reductions):
+    assert len(universe.stack[universe.rows]) == len(expected)
+    for q, row in zip(universe.members, universe.stack[universe.rows]):
         assert np.array_equal(row, oracle.reduce(alphabet, oracle.canonical_word(q)))
         assert np.allclose(row, oracle.reduce(alphabet, q), rtol=0, atol=1e-12)
     return universe
@@ -170,15 +172,33 @@ def test_string_domains_do_not_call_reduce(monkeypatch):
 
     monkeypatch.setattr(ProjectorAlphabet, "reduce", refuse)
     universe = StringUniverse(alphabet, 4)
-    assert len(universe) > 1
+    assert len(universe) > len(universe.stack) > 1
     for ideal in (valuation_vector(alphabet, psi, op, [1.0], 6),
                   valuation_ray(alphabet, psi, op, [1.0], 6),
                   valuation_density(alphabet, rho, op, [1.0], 6),
                   truth_ray_equal_strings(alphabet, psi, phi, 6)):
         assert ideal.max_verified_length == 6
+    # the relation and the contextual predicates see at most one row per canonical word
+    seen = []
+
+    def rows_seen(fn, count):
+        def wrapped(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            seen.append((fn.__name__, count(args, out)))
+            return out
+        return wrapped
+
+    monkeypatch.setattr(context, "_non_annihilation",
+                        rows_seen(context._non_annihilation, lambda args, out: len(out)))
+    for name in ("rays_agree", "in_reduced_eigenspace"):
+        monkeypatch.setattr(context, name,
+                            rows_seen(getattr(context, name), lambda args, out: len(args[0])))
     strings = polar_of_rays(xi, universe)
     polar_of_strings(universe, strings, candidates)
     closure_rays(xi, universe, candidates)
     is_full(xi, universe, candidates)
     context_valuation(psi, op, [1.0], xi, universe)
     context_truth_equal(psi, phi, xi, universe)
+    assert sorted({name for name, _ in seen}) == [
+        "_non_annihilation", "in_reduced_eigenspace", "rays_agree"]
+    assert all(rows <= len(universe.stack) for _, rows in seen)

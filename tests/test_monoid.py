@@ -359,7 +359,7 @@ def _keep_ideals(mon: FiniteMonoid, family) -> None:
     """Make ``mon`` report on ``family``, ideals of an equal monoid in their
     order, as if they were all its ideals: each with its row of the codes."""
     mon._ideals = None   # all of them again
-    ideals, rows = monoid._sorted_ideals(mon)
+    ideals, rows = monoid.sorted_ideals(mon)
     row_of = {ideal.mask: row for ideal, row in zip(ideals, rows.tolist())}
     mon._ideals = tuple(family), np.array([row_of[i.mask] for i in family], dtype=np.intp)
 

@@ -134,7 +134,7 @@ def test_counts_and_violations_decode_no_member(monkeypatch, dim, tol):
         [{"letter": p, "member": list(q)} for p, q in ideal.violations] for ideal in ideals]
     decoded.clear()
     assert [len(ideal.members) for ideal in ideals] == counts
-    assert len(universe.members) == size == len(universe.reductions)
+    assert len(universe.members) == size == len(universe.stack[universe.rows])
     assert decoded == counts + [size]
     assert all(ideal.members is ideal.members for ideal in ideals)
     assert universe.members is universe.members and len(decoded) == 5

@@ -80,7 +80,7 @@ def check_universes(alphabet, depth=DEPTH):
     for d in range(depth + 1):
         universe = StringUniverse(alphabet, d)
         assert list(universe.members) == [q for q in expected if len(q) <= d]
-        for q, row in zip(universe.members, universe.reductions):
+        for q, row in zip(universe.members, universe.stack[universe.rows]):
             assert np.array_equal(row, alphabet.reduce(q))
     return expected
 

@@ -83,6 +83,17 @@ def reduce(alphabet, letters):
     return result
 
 
+def running_tails(alphabet, letters):
+    """The loop that ``ProjectorAlphabet.tails`` replaced: the reductions of
+    the string's tails by length, as running products from the right, a
+    repeated letter taken once."""
+    q = tuple(letters)
+    stack = [np.eye(alphabet.dim, dtype=complex)]
+    for i, letter in enumerate(reversed(q)):
+        stack.append(stack[-1] if i and q[-i] == letter else alphabet.matrix(letter) @ stack[-1])
+    return np.array(stack)
+
+
 def canonical_word(letters):
     """The string with each run of a repeated letter taken once; for
     projector letters (P·P = P) it reduces to the same operator."""
